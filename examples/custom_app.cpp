@@ -57,7 +57,9 @@ class HistogramApp final : public Workload {
     for (std::uint32_t v : block) ++partial[v];
     shm.compute(static_cast<Cycles>(block.size()) * 6);
 
-    // Merge under range locks (read-modify-write on shared pages).
+    // Merge under range locks (read-modify-write on shared pages). Scalar
+    // get/put must be co_awaited straight away, never stored: the awaitable
+    // they return holds the value, and a hit completes inside it.
     constexpr int kPerRange = kBuckets / kRanges;
     for (int r = 0; r < kRanges; ++r) {
       const int range = (pid + r) % kRanges;  // stagger to reduce contention

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,6 +21,52 @@ namespace svmsim::apps {
 
 using svm::Distribution;
 using svm::GlobalAddr;
+
+enum class AccessKind { kLoad, kStore };
+
+/// What Shm::read/write (and SharedArray::get/put) return: one scalar
+/// shared access. An access that needs no simulated waiting — a valid page,
+/// and cache hits for a load — completes inside await_ready, with no
+/// coroutine frame; otherwise the agent coroutine that finishes it is
+/// awaited in its place, exceptions included (docs/engine.md, "Access hit
+/// path"). The accessed value lives inside this object, so co_await it
+/// straight away; never store it.
+template <typename T, AccessKind K>
+class [[nodiscard]] Access {
+ public:
+  Access(svm::SvmAgent& agent, Processor& p, GlobalAddr a, T v = T{})
+      : agent_(&agent), proc_(&p), addr_(a), v_(v) {}
+  Access(const Access&) = delete;
+  Access& operator=(const Access&) = delete;
+
+  bool await_ready() {
+    if constexpr (K == AccessKind::kLoad) {
+      rest_ = agent_->try_read(*proc_, addr_, &v_, sizeof(T));
+    } else {
+      rest_ = agent_->try_write(*proc_, addr_, &v_, sizeof(T));
+    }
+    return !rest_.valid();
+  }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    return std::move(rest_).operator co_await().await_suspend(h);
+  }
+  auto await_resume() {
+    if (rest_.valid()) std::move(rest_).operator co_await().await_resume();
+    if constexpr (K == AccessKind::kLoad) return v_;
+  }
+
+ private:
+  svm::SvmAgent* agent_;
+  Processor* proc_;
+  GlobalAddr addr_;
+  T v_;
+  engine::Task<void> rest_;  ///< empty when the hit path finished the access
+};
+
+template <typename T>
+using Load = Access<T, AccessKind::kLoad>;
+template <typename T>
+using Store = Access<T, AccessKind::kStore>;
 
 class Shm {
  public:
@@ -40,15 +87,13 @@ class Shm {
   void compute(Cycles c) { proc_->charge(TimeCat::kCompute, c); }
 
   template <typename T>
-  engine::Task<T> read(GlobalAddr a) {
-    T v{};
-    co_await agent_->read(*proc_, a, &v, sizeof(T));
-    co_return v;
+  Load<T> read(GlobalAddr a) {
+    return Load<T>(*agent_, *proc_, a);
   }
 
   template <typename T>
-  engine::Task<void> write(GlobalAddr a, T v) {
-    co_await agent_->write(*proc_, a, &v, sizeof(T));
+  Store<T> write(GlobalAddr a, T v) {
+    return Store<T>(*agent_, *proc_, a, v);
   }
 
   engine::Task<void> read_block(GlobalAddr a, void* dst,
@@ -103,10 +148,11 @@ class SharedArray {
   }
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
 
-  engine::Task<T> get(Shm& shm, std::uint64_t i) const {
+  /// Scalar accesses: co_await the result straight away (see Access).
+  Load<T> get(Shm& shm, std::uint64_t i) const {
     return shm.read<T>(addr(i));
   }
-  engine::Task<void> put(Shm& shm, std::uint64_t i, T v) const {
+  Store<T> put(Shm& shm, std::uint64_t i, T v) const {
     return shm.write<T>(addr(i), v);
   }
   engine::Task<void> get_block(Shm& shm, std::uint64_t i, T* dst,

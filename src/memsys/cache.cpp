@@ -1,5 +1,7 @@
 #include "memsys/cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace svmsim::memsys {
@@ -40,7 +42,18 @@ bool Cache::contains(std::uint64_t line_addr) const {
   return find(line_addr) != nullptr;
 }
 
+void Cache::set_resident(std::uint64_t line_addr) {
+  const std::uint64_t i = line_addr / params_.line_bytes;
+  if (i / 64 >= resident_.size()) {
+    resident_.resize(
+        std::max<std::size_t>(i / 64 + 1, 2 * resident_.size()), 0);
+  }
+  resident_[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
 Cache::Victim Cache::fill(std::uint64_t line_addr, bool dirty) {
+  assert(line_addr % params_.line_bytes == 0 && "fill of an unaligned line");
+  assert(!contains(line_addr) && "fill of a resident line");
   const std::uint32_t s = set_of(line_addr);
   Line* base = &lines_[static_cast<std::size_t>(s) * params_.associativity];
   Line* victim = &base[0];
@@ -57,7 +70,9 @@ Cache::Victim Cache::fill(std::uint64_t line_addr, bool dirty) {
     out.evicted = true;
     out.dirty = victim->dirty;
     out.line_addr = victim->addr;
+    clear_resident(victim->addr);
   }
+  set_resident(line_addr);
   victim->valid = true;
   victim->addr = line_addr;
   victim->dirty = dirty;
@@ -66,26 +81,26 @@ Cache::Victim Cache::fill(std::uint64_t line_addr, bool dirty) {
 }
 
 void Cache::invalidate_range(std::uint64_t start, std::uint64_t len) {
-  const std::uint64_t end = start + len;
   const std::uint64_t lb = params_.line_bytes;
-  // Every resident addr is line-aligned (fills always pass ln * line_bytes),
-  // so probing the aligned addresses of [start, end) drops exactly the lines
-  // a full scan would: O(range / line) set probes instead of O(cache size)
-  // per SVM page invalidation. Ranges wider than the tag store fall back to
-  // the scan.
-  std::uint64_t a = start + (lb - start % lb) % lb;
-  if (a >= end) return;
-  if ((end - a) / lb >= lines_.size()) {
-    for (auto& l : lines_) {
-      if (l.valid && l.addr >= start && l.addr < end) {
-        l.valid = false;
-        l.dirty = false;
-      }
+  // Bits [first, last) are the line addresses in [start, start + len); the
+  // range may be unaligned at either end (AURC invalidates partial pages).
+  const std::uint64_t first = (start + lb - 1) / lb;
+  const std::uint64_t last =
+      std::min<std::uint64_t>((start + len + lb - 1) / lb,
+                              std::uint64_t{64} * resident_.size());
+  if (first >= last) return;
+  for (std::uint64_t w = first / 64; w <= (last - 1) / 64; ++w) {
+    std::uint64_t bits = resident_[w];
+    if (w == first / 64) bits &= ~std::uint64_t{0} << (first % 64);
+    if (w == (last - 1) / 64 && last % 64 != 0) {
+      bits &= ~(~std::uint64_t{0} << (last % 64));
     }
-    return;
-  }
-  for (; a < end; a += lb) {
-    if (Line* l = find(a)) {
+    resident_[w] &= ~bits;
+    for (; bits != 0; bits &= bits - 1) {
+      const std::uint64_t i =
+          w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+      Line* l = find(i * lb);
+      assert(l != nullptr && "resident bit without a valid line");
       l->valid = false;
       l->dirty = false;
     }

@@ -1,5 +1,15 @@
 // Set-associative cache tag store (timing only — data lives in the SVM
 // address space). Used for both the write-through L1 and write-back L2.
+//
+// Resident-line bitmap invariant: bit (a / line_bytes) of `resident_` is set
+// exactly when a valid line with address `a` is in the tag store. fill()
+// sets the new line's bit and clears the victim's; invalidate_range() clears
+// the bits of the lines it drops. Every resident address is line-aligned, so
+// a page invalidation reads one bitmap word per 64 lines of the range and
+// probes only the lines actually cached, instead of probing every line of
+// the page; a range past the highest filled address costs nothing. The
+// bitmap grows on demand to one bit per line up to the highest address
+// filled (shared bytes / 512 per cache at 64 B lines).
 #pragma once
 
 #include <cstdint>
@@ -27,11 +37,14 @@ class Cache {
     std::uint64_t line_addr = 0;
   };
 
-  /// Install `line_addr`, evicting the LRU way. Returns the victim.
+  /// Install `line_addr` (line-aligned, not already resident), evicting the
+  /// LRU way. Returns the victim.
   Victim fill(std::uint64_t line_addr, bool dirty);
 
-  /// Drop every line within [start, start+len). Used when the SVM layer
-  /// invalidates or replaces a page: stale cached lines must not hit.
+  /// Drop every line whose address lies in [start, start+len); the range
+  /// need not be line-aligned. Used when the SVM layer invalidates or
+  /// replaces a page (or, under AURC, part of one): stale cached lines must
+  /// not hit.
   void invalidate_range(std::uint64_t start, std::uint64_t len);
 
   [[nodiscard]] std::uint32_t line_bytes() const noexcept {
@@ -58,10 +71,16 @@ class Cache {
   }
   Line* find(std::uint64_t line_addr);
   [[nodiscard]] const Line* find(std::uint64_t line_addr) const;
+  void set_resident(std::uint64_t line_addr);
+  void clear_resident(std::uint64_t line_addr) {
+    const std::uint64_t i = line_addr / params_.line_bytes;
+    resident_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
 
   CacheParams params_;
   std::uint32_t sets_;
   std::vector<Line> lines_;  // sets_ x associativity, row-major by set
+  std::vector<std::uint64_t> resident_;  // see the invariant at the top
   std::uint64_t tick_ = 0;   // LRU clock
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -70,6 +70,28 @@ Cycles install_cycles(const ArchParams& arch, std::uint32_t page_bytes) {
   return arch.page_install_cycles_per_kb * ((page_bytes + 1023) / 1024);
 }
 
+/// Timing of one load line that hits: the access cycle plus any stall past
+/// it. Returns false, charging nothing, when the line misses (the probe has
+/// still counted the miss; the caller handles it without probing again).
+bool time_hit_line(Processor& p, std::uint64_t line_addr) {
+  const auto hit = p.mem().read_line_fast(line_addr, p.local_now());
+  if (!hit) return false;
+  p.charge(TimeCat::kCompute, 1);
+  if (*hit > 1) p.charge(TimeCat::kMemStall, *hit - 1);
+  return true;
+}
+
+/// Timing of a store: one write-buffer access per cache line touched.
+void time_store_lines(Processor& p, GlobalAddr addr, std::uint32_t len) {
+  const std::uint32_t lb = p.mem().line_bytes();
+  const std::uint64_t last_line = (addr + len - 1) / lb;
+  for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
+    const auto cost = p.mem().write_line(ln * lb, p.local_now());
+    p.charge(TimeCat::kCompute, cost.issue);
+    if (cost.wb_stall > 0) p.charge(TimeCat::kWriteBufStall, cost.wb_stall);
+  }
+}
+
 }  // namespace
 
 SvmAgent::SvmAgent(engine::Simulator& sim, const SimConfig& cfg, NodeId self,
@@ -501,30 +523,79 @@ Task<void> SvmAgent::read(Processor& p, GlobalAddr addr, void* dst,
     SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, addr,
                       c->data.data() + off, chunk);
     // Timing: one access per cache line touched.
-    const std::uint64_t first_line = addr / lb;
     const std::uint64_t last_line = (addr + chunk - 1) / lb;
-    for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
-      const std::uint64_t line_addr = ln * lb;
-      if (auto hit = p.mem().read_line_fast(line_addr, p.local_now())) {
-        p.charge(TimeCat::kCompute, 1);
-        if (*hit > 1) p.charge(TimeCat::kMemStall, *hit - 1);
-      } else {
-        p.charge(TimeCat::kCompute, 1);
-        co_await p.drain();
-        const Cycles stall = co_await p.mem().read_line_slow(line_addr);
-        p.note(TimeCat::kMemStall, stall);
-      }
+    for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
+      if (time_hit_line(p, ln * lb)) continue;
+      p.charge(TimeCat::kCompute, 1);
+      co_await p.drain();
+      const Cycles stall = co_await p.mem().read_line_slow(ln * lb);
+      p.note(TimeCat::kMemStall, stall);
     }
     addr += chunk;
     bytes -= chunk;
   }
 }
 
+Task<void> SvmAgent::try_read(Processor& p, GlobalAddr addr, void* dst,
+                              std::uint64_t bytes) {
+  const std::uint32_t off = space_->offset_of(addr);
+  if (bytes == 0 || off + bytes > space_->page_bytes()) {
+    return read(p, addr, dst, bytes);
+  }
+  const PageId page = space_->page_of(addr);
+  (void)home_of(page);  // ensure_valid resolves the home before the state
+  PageCopy& c = space_->copy(self_, page);
+  if (c.state != PageState::kReadOnly && c.state != PageState::kReadWrite) {
+    return read(p, addr, dst, bytes);
+  }
+  if (dst != nullptr) std::memcpy(dst, c.data.data() + off, bytes);
+  SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, addr,
+                    c.data.data() + off, bytes);
+  const std::uint32_t lb = p.mem().line_bytes();
+  const std::uint64_t last_line = (addr + bytes - 1) / lb;
+  for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
+    if (!time_hit_line(p, ln * lb)) return read_tail(p, ln, last_line);
+  }
+  return {};
+}
+
+Task<void> SvmAgent::read_tail(Processor& p, std::uint64_t line,
+                               std::uint64_t last_line) {
+  const std::uint32_t lb = p.mem().line_bytes();
+  for (std::uint64_t ln = line; ln <= last_line; ++ln) {
+    // `line` itself was already probed (and missed) by the caller.
+    if (ln != line && time_hit_line(p, ln * lb)) continue;
+    p.charge(TimeCat::kCompute, 1);
+    co_await p.drain();
+    const Cycles stall = co_await p.mem().read_line_slow(ln * lb);
+    p.note(TimeCat::kMemStall, stall);
+  }
+}
+
+Task<void> SvmAgent::try_write(Processor& p, GlobalAddr addr, const void* src,
+                               std::uint64_t bytes) {
+  const std::uint32_t off = space_->offset_of(addr);
+  if (bytes == 0 || off + bytes > space_->page_bytes()) {
+    return write(p, addr, src, bytes);
+  }
+  const PageId page = space_->page_of(addr);
+  PageCopy& c = space_->copy(self_, page);
+  if (c.state != PageState::kReadWrite) return write(p, addr, src, bytes);
+  const auto len = static_cast<std::uint32_t>(bytes);
+  if (const auto* in = static_cast<const std::byte*>(src)) {
+    std::memcpy(c.data.data() + off, in, len);
+    SVMSIM_CHECK_HOOK(*sim_, on_write, sim_->now(), self_, vc_, addr, in,
+                      len);
+  }
+  on_store(p, page, c, off, len);
+  time_store_lines(p, addr, len);
+  return {};
+}
+
 Task<void> SvmAgent::write(Processor& p, GlobalAddr addr, const void* src,
                            std::uint64_t bytes) {
   const auto* in = static_cast<const std::byte*>(src);
   const std::uint32_t pb = space_->page_bytes();
-  const std::uint32_t lb = p.mem().line_bytes();
   while (bytes > 0) {
     const PageId page = space_->page_of(addr);
     const std::uint32_t off = space_->offset_of(addr);
@@ -538,13 +609,7 @@ Task<void> SvmAgent::write(Processor& p, GlobalAddr addr, const void* src,
       in += chunk;
     }
     on_store(p, page, *c, off, chunk);
-    const std::uint64_t first_line = addr / lb;
-    const std::uint64_t last_line = (addr + chunk - 1) / lb;
-    for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
-      const auto cost = p.mem().write_line(ln * lb, p.local_now());
-      p.charge(TimeCat::kCompute, cost.issue);
-      if (cost.wb_stall > 0) p.charge(TimeCat::kWriteBufStall, cost.wb_stall);
-    }
+    time_store_lines(p, addr, chunk);
     addr += chunk;
     bytes -= chunk;
   }

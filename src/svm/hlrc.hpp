@@ -91,6 +91,20 @@ class SvmAgent {
                           std::uint64_t bytes);
   engine::Task<void> write(Processor& p, GlobalAddr addr, const void* src,
                            std::uint64_t bytes);
+
+  // ---- synchronous hit path (docs/engine.md, "Access hit path") ----
+  // A single-page access to a page already valid for it completes here,
+  // without suspending, through the same side-effecting calls in the same
+  // order as read()/write(), and returns an empty Task. Otherwise the
+  // returned Task finishes the access: read_tail() when a line missed
+  // partway (the lines before it are already timed), or the unchanged
+  // read()/write() when the access crosses a page or the page is not valid
+  // (nothing has been done yet).
+  engine::Task<void> try_read(Processor& p, GlobalAddr addr, void* dst,
+                              std::uint64_t bytes);
+  engine::Task<void> try_write(Processor& p, GlobalAddr addr, const void* src,
+                               std::uint64_t bytes);
+
   engine::Task<void> acquire_lock(Processor& p, int lock);
   engine::Task<void> release_lock(Processor& p, int lock);
   engine::Task<void> barrier(Processor& p);
@@ -120,6 +134,11 @@ class SvmAgent {
   engine::Task<PageCopy*> readable(Processor& p, PageId page);
   engine::Task<PageCopy*> writable(Processor& p, PageId page);
   engine::Task<void> fetch_page(Processor& p, PageId page, PageCopy& c);
+  /// Rest of a try_read() whose line `line` missed in read_line_fast: that
+  /// line's miss (without probing it again), then the lines up to
+  /// `last_line`, timed as read() times them.
+  engine::Task<void> read_tail(Processor& p, std::uint64_t line,
+                               std::uint64_t last_line);
   void mark_dirty(PageId page, PageCopy& c);
 
   // Release-time propagation (protocol-specific).

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <tuple>
+#include <vector>
 
 namespace svmsim::memsys {
 namespace {
@@ -84,6 +89,175 @@ TEST(Cache, InvalidatedDirtyLineDoesNotWriteBack) {
   auto victim = c.fill(1024, false);
   EXPECT_FALSE(victim.evicted);
 }
+
+TEST(Cache, InvalidateRangeHandlesUnalignedAndSubLineRanges) {
+  Cache c(small_2w);
+  c.fill(0, false);
+  c.fill(64, false);
+  c.fill(128, false);
+  c.invalidate_range(1, 63);  // sub-line, covers no line start
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_TRUE(c.contains(64));
+  c.invalidate_range(10, 64);  // unaligned, covers line 64 only
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_FALSE(c.contains(64));
+  EXPECT_TRUE(c.contains(128));
+  c.invalidate_range(1 << 20, 4096);  // past every filled address
+  EXPECT_TRUE(c.contains(128));
+}
+
+// Randomized differential test of the resident-line bitmap: a brute-force
+// shadow model (resident address -> {LRU stamp, dirty}, sets recomputed by
+// scanning) must agree with the cache after every fill, lookup and
+// invalidation, on the contents, the victims fill reports and the hit/miss
+// counts.
+class Shadow {
+ public:
+  explicit Shadow(const CacheParams& p)
+      : p_(p), sets_(p.size_bytes / (p.line_bytes * p.associativity)) {}
+
+  bool lookup(std::uint64_t a, bool mark_dirty) {
+    auto it = lines_.find(a);
+    if (it == lines_.end()) {
+      ++misses_;
+      return false;
+    }
+    it->second.lru = ++tick_;
+    if (mark_dirty) it->second.dirty = true;
+    ++hits_;
+    return true;
+  }
+
+  Cache::Victim fill(std::uint64_t a, bool dirty) {
+    Cache::Victim out;
+    const std::uint64_t set = (a / p_.line_bytes) % sets_;
+    std::vector<std::map<std::uint64_t, Line>::iterator> same_set;
+    for (auto it = lines_.begin(); it != lines_.end(); ++it) {
+      if ((it->first / p_.line_bytes) % sets_ == set) same_set.push_back(it);
+    }
+    if (same_set.size() == p_.associativity) {
+      auto lru = *std::min_element(
+          same_set.begin(), same_set.end(),
+          [](auto x, auto y) { return x->second.lru < y->second.lru; });
+      out.evicted = true;
+      out.dirty = lru->second.dirty;
+      out.line_addr = lru->first;
+      lines_.erase(lru);
+    }
+    lines_[a] = Line{++tick_, dirty};
+    return out;
+  }
+
+  /// Returns the number of resident lines dropped.
+  std::size_t invalidate_range(std::uint64_t start, std::uint64_t len) {
+    return std::erase_if(lines_, [&](const auto& kv) {
+      return kv.first >= start && kv.first < start + len;
+    });
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t a) const {
+    return lines_.count(a) != 0;
+  }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Line {
+    std::uint64_t lru;
+    bool dirty;
+  };
+  CacheParams p_;
+  std::uint64_t sets_;
+  std::map<std::uint64_t, Line> lines_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+class CacheInvalidateDifferential
+    : public ::testing::TestWithParam<CacheParams> {};
+
+TEST_P(CacheInvalidateDifferential, MatchesBruteForceShadow) {
+  const CacheParams p = GetParam();
+  constexpr std::uint64_t kPage = 4096;
+  const std::uint64_t lb = p.line_bytes;
+  // Twice the capacity, so sets conflict and fills evict.
+  const std::uint64_t region_lines = 2 * p.size_bytes / lb;
+  std::mt19937_64 rng(0x5eed0000 + p.associativity);
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  std::uint64_t evictions = 0;
+  std::uint64_t dropped = 0;
+
+  for (int trial = 0; trial < 4; ++trial) {
+    Cache c(p);
+    Shadow ref(p);
+    // The last two trials fill only a quarter of the region, so more of
+    // their invalidations lie past the highest filled address.
+    const std::uint64_t hot_lines = trial < 2 ? region_lines : region_lines / 4;
+    for (int step = 0; step < 3000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " step "
+                                        << step);
+      const std::uint64_t op = below(20);
+      if (op < 16) {
+        // A load or store probe; a miss fills, as ProcMemory does.
+        const std::uint64_t a = below(hot_lines) * lb;
+        const bool dirty = below(2) == 0;
+        const bool hit = c.lookup(a, dirty);
+        ASSERT_EQ(hit, ref.lookup(a, dirty));
+        if (!hit) {
+          const Cache::Victim got = c.fill(a, dirty);
+          const Cache::Victim want = ref.fill(a, dirty);
+          ASSERT_EQ(got.evicted, want.evicted);
+          if (want.evicted) {
+            ++evictions;
+            ASSERT_EQ(got.dirty, want.dirty);
+            ASSERT_EQ(got.line_addr, want.line_addr);
+          }
+        }
+      } else {
+        std::uint64_t start = 0;
+        std::uint64_t len = 0;
+        const std::uint64_t span = region_lines * lb;
+        switch (op) {
+          case 16:  // one whole page (the HLRC fetch/invalidate case)
+            start = below(std::max<std::uint64_t>(1, span / kPage)) * kPage;
+            len = kPage;
+            break;
+          case 17:  // unaligned at both ends, up to two pages (AURC updates)
+            start = below(span);
+            len = 1 + below(2 * kPage);
+            break;
+          case 18:  // inside one line
+            start = below(span);
+            len = 1 + below(lb - 1);
+            break;
+          default:  // past the highest filled address, sometimes far past
+            start = (hot_lines + below(region_lines)) * lb + below(lb);
+            len = 1 + below(below(2) == 0 ? kPage : 64 * kPage);
+            break;
+        }
+        c.invalidate_range(start, len);
+        dropped += ref.invalidate_range(start, len);
+      }
+      ASSERT_EQ(c.hits(), ref.hits());
+      ASSERT_EQ(c.misses(), ref.misses());
+      for (std::uint64_t ln = 0; ln < hot_lines; ++ln) {
+        ASSERT_EQ(c.contains(ln * lb), ref.contains(ln * lb)) << "line " << ln;
+      }
+    }
+  }
+  // The walk must actually exercise both paths it checks.
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(dropped, 100u);
+}
+
+// The paper's L1 (16 KB direct-mapped, 64 B lines); its L2 shape (2-way,
+// 64 B lines) at 32 KB, small enough for the walk to fill every set; and
+// the small geometries above, where nearly every fill conflicts.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheInvalidateDifferential,
+    ::testing::Values(CacheParams{16 * 1024, 1, 64, 1},
+                      CacheParams{32 * 1024, 2, 64, 8}, small_dm, small_2w));
 
 // Property-style sweep: for any config, filling N distinct lines that map to
 // distinct sets keeps all of them resident.
