@@ -43,19 +43,6 @@ Options Options::parse(int argc, char** argv) {
     }
   }
   opt.check.enabled = cli.has("check-consistency");
-  opt.par_cores = std::max(1, static_cast<int>(cli.get_int("par-cores", 1)));
-  if (opt.trace.enabled && opt.par_cores > 1) {
-    // Catch the conflict at the CLI instead of the Machine constructor's
-    // throw, with a distinct exit code scripts can branch on.
-    std::fprintf(stderr,
-                 "%s: --trace cannot be combined with --par-cores=%d: a "
-                 "trace is one global event stream in emission order, and "
-                 "partition workers emitting concurrently would interleave "
-                 "nondeterministically (see docs/tracing.md). Drop --trace "
-                 "or run with --par-cores=1.\n",
-                 argc > 0 ? argv[0] : "bench", opt.par_cores);
-    std::exit(kExitTracedParallel);
-  }
   if (auto t = cli.get("topology")) {
     if (auto spec = topo::Spec::parse(*t)) {
       opt.topology = *spec;
@@ -81,26 +68,8 @@ Options Options::parse(int argc, char** argv) {
                  opt.prog.c_str(), err.c_str());
     std::exit(kExitBadArch);
   }
-  const std::string window = cli.get_or("pdes-window", "");
-  if (window == "fixed") {
-    opt.pdes_window = WindowPolicy::kFixed;
-  } else if (window == "adaptive") {
-    opt.pdes_window = WindowPolicy::kAdaptive;
-  } else if (!window.empty()) {
-    std::fprintf(stderr,
-                 "unknown --pdes-window value '%s' "
-                 "(expected adaptive or fixed)\n",
-                 window.c_str());
-    std::exit(2);
-  }
-  // Jobs x par_cores threads run at once: when PDES mode is on, shrink the
-  // default job count so the machine is not oversubscribed. An explicit
-  // --jobs always wins.
-  long default_jobs = static_cast<long>(harness::JobPool::hardware_default());
-  if (opt.par_cores > 1) {
-    default_jobs = std::max(1L, default_jobs / opt.par_cores);
-  }
-  opt.jobs = static_cast<int>(cli.get_int("jobs", default_jobs));
+  opt.jobs = static_cast<int>(cli.get_int(
+      "jobs", static_cast<long>(harness::JobPool::hardware_default())));
   opt.jobs = std::max(1, opt.jobs);
   if (opt.jobs > 1) {
     opt.pool_ = std::make_shared<harness::JobPool>(
@@ -161,8 +130,6 @@ std::vector<harness::SweepPoint> suite_points(
       // apply() may resize the cluster, so fit is checked per point.
       checked_topology(opt.prog.c_str(), p.cfg.topology,
                        p.cfg.comm.node_count());
-      p.cfg.par_cores = opt.par_cores;
-      p.cfg.pdes_window = opt.pdes_window;
       p.cfg.trace = opt.trace;
       if (opt.trace.enabled) {
         // Each point is its own Machine/run: give each its own trace file.
@@ -178,6 +145,19 @@ std::vector<harness::SweepPoint> suite_points(
     }
   }
   return points;
+}
+
+std::vector<harness::AppRun> run_points(
+    harness::Sweep& sweep, const std::vector<harness::SweepPoint>& points,
+    const Options& opt, const std::string& param_name) {
+  try {
+    return sweep.run_points(points, opt.pool());
+  } catch (const harness::PointError& e) {
+    std::fprintf(stderr, "\n%s: %s %s=%g: %s\n", opt.prog.c_str(),
+                 e.app().c_str(), param_name.c_str(), e.value(),
+                 e.reason().c_str());
+    std::exit(1);
+  }
 }
 
 std::vector<std::vector<harness::AppRun>> run_figure(
@@ -197,7 +177,7 @@ std::vector<std::vector<harness::AppRun>> run_figure(
   // One flat batch across the whole suite: with --jobs > 1 every
   // (app, value) point runs concurrently, not just the points of one app.
   std::vector<harness::AppRun> flat =
-      sweep.run_points(suite_points(values, apply, opt), opt.pool());
+      run_points(sweep, suite_points(values, apply, opt), opt, param_name);
 
   // --check-consistency turns the bench into a pass/fail harness: any
   // violation (already reported per-run on stderr) fails the process.

@@ -11,16 +11,6 @@
 //   --trace-categories=a,b     restrict tracing to page,lock,net,irq,sched
 //   --check-consistency        run the shadow consistency checker on every
 //                              point (exit 1 if any violation is found)
-//   --par-cores=N              run each simulation point on N partition
-//                              worker threads (PDES mode; results are
-//                              byte-identical to serial). The default job
-//                              count shrinks to hardware/N so the two levels
-//                              of parallelism do not oversubscribe.
-//   --pdes-window=adaptive|fixed
-//                              window-end policy for --par-cores runs
-//                              (default adaptive; fixed is the original
-//                              one-lookahead window, kept for A/B runs —
-//                              results are byte-identical either way)
 //   --topology=crossbar|fattree:<k>|torus:<X>x<Y>[x<Z>]
 //                              interconnect backend for every sweep point
 //                              (default: the legacy contention-free
@@ -31,8 +21,8 @@
 //                              fields; values ArchParams::validate()
 //                              rejects exit kExitBadArch.
 //
-// --trace combined with --par-cores>1 is rejected up front with exit code
-// kExitTracedParallel (see docs/tracing.md).
+// A sweep point that fails (validation, deadlock, exceeded max cycles)
+// prints the binary, app and param=value to stderr and exits 1.
 #pragma once
 
 #include <functional>
@@ -51,27 +41,22 @@
 
 namespace svmsim::bench {
 
-/// Exit code for the --trace + --par-cores>1 flag conflict, distinct from
-/// the generic bad-flag exit(2) so scripts (and the death test) can tell the
-/// two apart.
-inline constexpr int kExitTracedParallel = 3;
-
-/// Exit code for an invalid simulated cluster size (--pdes-procs / --procs):
-/// not a positive multiple of procs_per_node, or larger than
-/// kMaxTotalProcs. Distinct from the generic bad-flag exit(2) and from
-/// kExitTracedParallel so scripts (and the death tests) can branch on it.
+/// Exit code for an invalid simulated cluster size (--procs): not a
+/// positive multiple of procs_per_node, or larger than kMaxTotalProcs.
+/// Distinct from the generic bad-flag exit(2) so scripts (and the death
+/// tests) can branch on it.
 inline constexpr int kExitBadProcs = 4;
 
 /// Exit code for a malformed or unusable --topology spec: a string
 /// topo::Spec::parse rejects ("torus:0x4", "fattree:3"), or a well-formed
 /// spec that does not fit the simulated node count (a 4x4 torus under 64
-/// nodes). Distinct from exit(2)/3/4 so scripts and the death tests can
+/// nodes). Distinct from exit(2)/4 so scripts and the death tests can
 /// branch on it.
 inline constexpr int kExitBadTopology = 5;
 
 /// Exit code for architecture parameters rejected by ArchParams::validate()
 /// (e.g. --link-bytes-per-cycle=0): the zero/NaN values would divide into
-/// infinite serialization times or break the PDES lookahead floor.
+/// infinite serialization times or schedule deliveries in the past.
 inline constexpr int kExitBadArch = 6;
 
 /// Exit code for a rejected --replay schedule file in bench/explore: the
@@ -106,9 +91,6 @@ struct Options {
   std::string csv_dir;
   std::vector<std::string> app_names;
   int jobs = 1;
-  int par_cores = 1;    ///< SimConfig::par_cores for every sweep point
-  /// SimConfig::pdes_window for every sweep point (--pdes-window).
-  WindowPolicy pdes_window = SimConfig{}.pdes_window;
   /// SimConfig::topology for every sweep point (--topology=crossbar|
   /// fattree:k|torus:XxY[xZ]; default legacy). Malformed specs exit
   /// kExitBadTopology at parse time; fit against the cluster size is
@@ -141,6 +123,12 @@ struct Options {
 [[nodiscard]] std::vector<harness::SweepPoint> suite_points(
     const std::vector<double>& values,
     const std::function<void(SimConfig&, double)>& apply, const Options& opt);
+
+/// Run `points` on opt.pool() (Sweep::run_points). A failing point prints
+/// "<binary>: <app> <param_name>=<value>: <reason>" to stderr and exits 1.
+std::vector<harness::AppRun> run_points(
+    harness::Sweep& sweep, const std::vector<harness::SweepPoint>& points,
+    const Options& opt, const std::string& param_name);
 
 /// Run one parameter sweep over the whole suite and print the figure's
 /// series: one row per application, one speedup column per parameter value.

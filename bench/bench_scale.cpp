@@ -16,13 +16,11 @@
 //          (0 and 1000 cycles), HLRC — scaling of the paper's own
 //          parameter sweep, not just of a stress point
 //
-// Every point runs serially and under --par-cores=N; the two results must
-// be bit-identical (the PDES determinism contract) and the run must
-// validate, so this doubles as a protocol correctness check at sizes the
-// tier-1 tests never reach. Results are merged into the shared
+// Every run must validate, so this doubles as a protocol correctness check
+// at sizes the tier-1 tests never reach. Results are merged into the shared
 // BENCH_sweep.json as a "scale" section (preserving other tools' sections).
 //
-//   ./bench_scale [--procs=16,64,256,1024] [--par-cores=4] [--seed=3]
+//   ./bench_scale [--procs=16,64,256,1024] [--seed=3]
 //                 [--scale=tiny] [--out=BENCH_sweep.json]
 //                 [--max-regression-16=F] [--min-speedup-256=X]
 //                 [--min-eps-ratio-256=R]
@@ -47,8 +45,7 @@
 // baseline measurements (recorded in .github/workflows/ci.yml) on runners
 // that start from a fresh checkout with no BENCH_sweep.json.
 //
-// Exit status is also nonzero if any parallel run differs from its serial
-// run or any run fails validation.
+// Exit status is also nonzero if any run fails validation.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -96,7 +93,7 @@ namespace {
 
 using namespace svmsim;
 
-/// One timed run of one configuration (serial or PDES).
+/// One timed run of one configuration.
 struct Timed {
   RunResult result;
   double wall_seconds = 0.0;
@@ -137,7 +134,7 @@ Timed timed_run(const std::string& app, apps::Scale scale,
   return t;
 }
 
-/// One (arm, protocol, overhead, procs) measurement: serial + parallel.
+/// One (arm, protocol, overhead, procs) measurement.
 struct Point {
   std::string arm;
   std::string protocol;
@@ -145,16 +142,7 @@ struct Point {
   int procs = 0;
   int nodes = 0;
   Timed serial;
-  Timed par;
-  bool identical = false;
-  bool validated = false;
 };
-
-/// Serial and PDES runs of one point must be bit-identical.
-bool same_run(const RunResult& a, const RunResult& b) {
-  return a.time == b.time && a.events == b.events && a.stats == b.stats &&
-         a.stats.counters() == b.stats.counters();
-}
 
 void emit_timed(std::ostringstream& json, const char* name, const Timed& t) {
   json << "\"" << name << "\": {\"wall_seconds\": " << t.wall_seconds
@@ -196,8 +184,6 @@ int main(int argc, char** argv) {
   }
   const long seed = cli.get_int("seed", 3);
   const std::string app = "stress-gen@" + std::to_string(seed);
-  const int par_cores =
-      std::max(2, static_cast<int>(cli.get_int("par-cores", 4)));
   const std::string out_path = cli.get_or("out", "BENCH_sweep.json");
   const double max_regression_16 = cli.get_double("max-regression-16", 0.0);
   const double min_speedup_256 = cli.get_double("min-speedup-256", 0.0);
@@ -236,7 +222,6 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Point> points;
-  bool all_identical = true;
   bool all_validated = true;
   for (int procs : procs_list) {
     for (const Arm& arm : arms) {
@@ -251,18 +236,12 @@ int main(int argc, char** argv) {
       cfg.comm.host_overhead = arm.host_overhead;
       p.nodes = cfg.comm.node_count();
       std::fprintf(stderr,
-                   "bench_scale: %s/%s overhead=%llu procs=%d (%d nodes), "
-                   "serial then --par-cores=%d\n",
+                   "bench_scale: %s/%s overhead=%llu procs=%d (%d nodes)\n",
                    p.arm.c_str(), p.protocol.c_str(),
                    static_cast<unsigned long long>(p.host_overhead), procs,
-                   p.nodes, par_cores);
+                   p.nodes);
       p.serial = timed_run(app, scale, cfg);
-      cfg.par_cores = par_cores;
-      p.par = timed_run(app, scale, cfg);
-      p.identical = same_run(p.serial.result, p.par.result);
-      p.validated = p.serial.result.validated && p.par.result.validated;
-      all_identical &= p.identical;
-      all_validated &= p.validated;
+      all_validated &= p.serial.result.validated;
       points.push_back(std::move(p));
     }
   }
@@ -303,9 +282,11 @@ int main(int argc, char** argv) {
   std::ostringstream section;
   // Section schema 2: each timed run gained peak_clock_pool (high-water
   // pooled clock bodies — the sparse-transport footprint at scale).
-  section << "\"scale\": {\n    \"schema\": 2"
+  // Schema 3 dropped the per-point "par" run and "identical" flag along
+  // with the intra-run parallel mode.
+  section << "\"scale\": {\n    \"schema\": 3"
           << ",\n    \"app\": \"" << app << "\""
-          << ",\n    \"par_cores\": " << par_cores << ",\n    \"points\": [";
+          << ",\n    \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     section << (i ? "," : "") << "\n      {\"arm\": \"" << p.arm
@@ -314,10 +295,8 @@ int main(int argc, char** argv) {
             << ", \"procs\": " << p.procs << ", \"nodes\": " << p.nodes
             << ",\n       ";
     emit_timed(section, "serial", p.serial);
-    section << ",\n       ";
-    emit_timed(section, "par", p.par);
-    section << ",\n       \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"validated\": " << (p.validated ? "true" : "false") << "}";
+    section << ",\n       \"validated\": "
+            << (p.serial.result.validated ? "true" : "false") << "}";
   }
   section << "\n    ]";
   if (eps16) section << ",\n    \"gate_eps_16\": " << *eps16;
@@ -325,9 +304,7 @@ int main(int argc, char** argv) {
   if (eps16 && eps256) {
     section << ",\n    \"eps_ratio_256\": " << eps_ratio_256;
   }
-  section << ",\n    \"identical_results\": "
-          << (all_identical ? "true" : "false")
-          << ",\n    \"validated\": " << (all_validated ? "true" : "false")
+  section << ",\n    \"validated\": " << (all_validated ? "true" : "false")
           << "\n  }";
 
   // Merge our section into the shared BENCH JSON (replacing any previous
@@ -342,19 +319,17 @@ int main(int argc, char** argv) {
   }
   harness::write_file_atomic(out_path, text);
 
-  std::printf("== bench_scale: %s, serial vs --par-cores=%d ==\n", app.c_str(),
-              par_cores);
+  std::printf("== bench_scale: %s ==\n", app.c_str());
   harness::Table t({"arm", "protocol", "ovh", "procs", "events", "ev/s",
-                    "par ev/s", "allocs/ev", "ns/sync", "pk clocks", "same"});
+                    "allocs/ev", "ns/sync", "pk clocks", "valid"});
   for (const Point& p : points) {
     t.add_row({p.arm, p.protocol, std::to_string(p.host_overhead),
                std::to_string(p.procs), std::to_string(p.serial.result.events),
                harness::fmt(p.serial.events_per_sec(), 0),
-               harness::fmt(p.par.events_per_sec(), 0),
                harness::fmt(p.serial.allocs_per_event(), 3),
                harness::fmt(p.serial.ns_per_sync(), 0),
                std::to_string(p.serial.result.peak_clock_pool),
-               p.identical && p.validated ? "yes" : "NO"});
+               p.serial.result.validated ? "yes" : "NO"});
   }
   t.print();
   std::printf("(merged into %s)\n", out_path.c_str());
@@ -398,13 +373,8 @@ int main(int argc, char** argv) {
       gates_ok = false;
     }
   }
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "bench_scale: serial and --par-cores=%d results differ\n",
-                 par_cores);
-  }
   if (!all_validated) {
     std::fprintf(stderr, "bench_scale: a run failed validation\n");
   }
-  return all_identical && all_validated && gates_ok ? 0 : 1;
+  return all_validated && gates_ok ? 0 : 1;
 }

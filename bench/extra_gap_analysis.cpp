@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       points.push_back({app, variants[v], static_cast<double>(v)});
     }
   }
-  auto runs = sweep.run_points(points, opt.pool());
+  auto runs = bench::run_points(sweep, points, opt, "variant");
 
   harness::Table t({"application", "achievable", "free interrupts",
                     "4x I/O bandwidth", "local fetches", "best", "ideal"});

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, v});
       }
     }
-    auto runs = sweep.run_points(points, opt.pool());
+    auto runs = bench::run_points(sweep, points, opt, "interrupt_cost");
 
     harness::Table t({"application", "intr=0", "intr=500", "intr=2500",
                       "intr=5000"});
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, static_cast<double>(scheme)});
       }
     }
-    auto runs = sweep.run_points(points, opt.pool());
+    auto runs = bench::run_points(sweep, points, opt, "scheme");
 
     harness::Table t({"application", "fixed-proc0", "round-robin"});
     for (std::size_t i = 0; i < opt.app_names.size(); ++i) {

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, static_cast<double>(nics)});
       }
     }
-    auto runs = sweep.run_points(points, opt.pool());
+    auto runs = bench::run_points(sweep, points, opt, "nics_per_node");
 
     harness::Table t({"application", "1 NI", "2 NIs", "4 NIs"});
     for (std::size_t i = 0; i < opt.app_names.size(); ++i) {

@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
       points.push_back({app, cfg, tick});
     }
   }
-  auto runs = sweep.run_points(points, opt.pool());
+  auto runs = bench::run_points(sweep, points, opt,
+                                "interrupt_cost|poll_interval");
   constexpr std::size_t kCols = 5;
 
   harness::Table t({"application", "intr cost=500", "intr cost=2500",

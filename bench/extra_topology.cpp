@@ -12,24 +12,20 @@
 // point, so the contended runs show where the topology actually queues.
 //
 //   ./extra_topology [--procs=64,256,1024] [--seed=3] [--scale=tiny]
-//                    [--par-cores=4] [--out=BENCH_sweep.json]
+//                    [--out=BENCH_sweep.json]
 //                    [--max-regression=F] [--prev-crossbar-eps-16=N]
 //
-// Results merge into BENCH_sweep.json as a "topology" section (schema 1),
+// Results merge into BENCH_sweep.json as a "topology" section (schema 2),
 // preserving every other tool's section.
 //
 // Gates (exit 1 when violated):
 //  - the crossbar backend must produce bit-identical results to the legacy
 //    network at every size (baseline point) — the topology layer must not
 //    perturb the original model;
-//  - at the smallest size, every topology's baseline must be bit-identical
-//    between serial and --par-cores=N (the PDES determinism contract now
-//    extended to per-hop link state);
 //  - every run must validate;
 //  - crossbar events/sec at 16 procs must stay within --max-regression of
 //    --prev-crossbar-eps-16 (or the previous file's gate_crossbar_eps_16).
 //    Self-disables with a note when no reference exists, like bench_scale.
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -69,8 +65,8 @@ Timed timed_run(const std::string& app, apps::Scale scale,
   return t;
 }
 
-/// Serial and PDES runs (or legacy and crossbar runs) must be bit-identical;
-/// Stats::operator== covers breakdowns, counters and per-link occupancy.
+/// Legacy and crossbar runs must be bit-identical; Stats::operator== covers
+/// breakdowns, counters and per-link occupancy.
 bool same_run(const RunResult& a, const RunResult& b) {
   return a.time == b.time && a.events == b.events && a.stats == b.stats;
 }
@@ -156,8 +152,6 @@ int main(int argc, char** argv) {
   }
   const long seed = cli.get_int("seed", 3);
   const std::string app = "stress-gen@" + std::to_string(seed);
-  const int par_cores =
-      std::max(2, static_cast<int>(cli.get_int("par-cores", 4)));
   const std::string out_path = cli.get_or("out", "BENCH_sweep.json");
   const double max_regression = cli.get_double("max-regression", 0.0);
 
@@ -208,9 +202,7 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   bool crossbar_identical = true;
-  bool par_identical = true;
   bool all_validated = true;
-  const int smallest = *std::min_element(procs_list.begin(), procs_list.end());
 
   for (int procs : procs_list) {
     SimConfig size_cfg = base;
@@ -252,27 +244,14 @@ int main(int argc, char** argv) {
         p.validated = p.serial.result.validated;
         all_validated &= p.validated;
 
-        if (std::string(prm.name) == "base") {
-          if (cfg.topology.kind == topo::Kind::kCrossbar &&
-              !same_run(legacy_ref.result, p.serial.result)) {
-            std::fprintf(stderr,
-                         "extra_topology: crossbar backend differs from the "
-                         "legacy network at %d procs\n",
-                         procs);
-            crossbar_identical = false;
-          }
-          if (procs == smallest) {
-            SimConfig pcfg = cfg;
-            pcfg.par_cores = par_cores;
-            const Timed par = timed_run(app, scale, pcfg);
-            if (!same_run(p.serial.result, par.result)) {
-              std::fprintf(stderr,
-                           "extra_topology: %s serial vs --par-cores=%d "
-                           "differ at %d procs\n",
-                           topo_name.c_str(), par_cores, procs);
-              par_identical = false;
-            }
-          }
+        if (std::string(prm.name) == "base" &&
+            cfg.topology.kind == topo::Kind::kCrossbar &&
+            !same_run(legacy_ref.result, p.serial.result)) {
+          std::fprintf(stderr,
+                       "extra_topology: crossbar backend differs from the "
+                       "legacy network at %d procs\n",
+                       procs);
+          crossbar_identical = false;
         }
         points.push_back(std::move(p));
       }
@@ -304,9 +283,11 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream section;
-  section << "\"topology\": {\n    \"schema\": 1"
+  // Section schema 2 dropped the intra-run parallel mode's core count and
+  // identity flag along with the mode.
+  section << "\"topology\": {\n    \"schema\": 2"
           << ",\n    \"app\": \"" << app << "\""
-          << ",\n    \"par_cores\": " << par_cores << ",\n    \"points\": [";
+          << ",\n    \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     section << (i ? "," : "") << "\n      {\"topology\": \"" << p.topology
@@ -329,7 +310,6 @@ int main(int argc, char** argv) {
           << ",\n    \"gate_crossbar_eps_16\": " << crossbar_eps_16
           << ",\n    \"crossbar_identical\": "
           << (crossbar_identical ? "true" : "false")
-          << ",\n    \"par_identical\": " << (par_identical ? "true" : "false")
           << ",\n    \"validated\": " << (all_validated ? "true" : "false")
           << "\n  }";
 
@@ -383,12 +363,8 @@ int main(int argc, char** argv) {
                  "extra_topology: crossbar/legacy results differ (the "
                  "topology layer perturbed the original model)\n");
   }
-  if (!par_identical) {
-    std::fprintf(stderr, "extra_topology: serial/parallel results differ\n");
-  }
   if (!all_validated) {
     std::fprintf(stderr, "extra_topology: a run failed validation\n");
   }
-  return crossbar_identical && par_identical && all_validated && gates_ok ? 0
-                                                                          : 1;
+  return crossbar_identical && all_validated && gates_ok ? 0 : 1;
 }

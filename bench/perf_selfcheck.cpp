@@ -3,27 +3,7 @@
 // identical, and reports wall-clock time, simulation throughput (events/sec)
 // and heap-allocation rate (allocs/event), machine-readably.
 //
-// A second arm measures the PDES mode (docs/engine.md): one run of
-// --pdes-app, serial vs --par-cores=<pdes-cores> partition worker threads,
-// the parallel run once per window policy (adaptive, then fixed). All three
-// must be bit-identical; the speedup, per-partition event counts and
-// per-policy conservative-window statistics (windows, windows/sec,
-// events per partition-window) land in the "pdes" section of the JSON.
-// A third arm re-runs the fig05 host-overhead matrix under --par-cores with
-// both window policies and records the suite-wide window totals
-// ("pdes_fig05" section) — the adaptive-window win on the paper's own
-// parameter sweep, not just on the stress workload.
-//   --pdes-min-speedup=X gates the adaptive speedup (exit 1 below X); it
-//     needs a hardware thread per partition worker to be meaningful and
-//     self-disables on smaller machines.
-//   --pdes-min-window-reduction=X gates fixed_windows/adaptive_windows on
-//     the --pdes-app run (exit 1 below X). Window counts are deterministic
-//     (they depend only on the configuration, never on wall-clock timing),
-//     so this gate never self-disables.
-//
 //   ./perf_selfcheck [--scale=tiny] [--jobs=N] [--apps=a,b,c]
-//                    [--pdes-app=fft] [--pdes-cores=4] [--pdes-scale=large]
-//                    [--pdes-min-speedup=X] [--pdes-min-window-reduction=X]
 //                    [--out=BENCH_sweep.json]
 //
 // If the output file already exists with a compatible schema, the previous
@@ -35,7 +15,6 @@
 //
 // Exit status is nonzero if any parallel results differ from the serial
 // ones, so this doubles as a determinism check for CI.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -126,30 +105,6 @@ bool identical(const std::vector<AppRun>& a, const std::vector<AppRun>& b) {
   return true;
 }
 
-std::uint64_t total_windows(const std::vector<AppRun>& runs) {
-  std::uint64_t w = 0;
-  for (const auto& r : runs) w += r.result.windows;
-  return w;
-}
-
-/// One --par-cores run of the PDES arm under a given window policy, with the
-/// derived per-window rates the "pdes" JSON section reports.
-struct PolicyRun {
-  svmsim::RunResult result;
-  Measurement m;
-
-  [[nodiscard]] double windows_per_sec() const {
-    return m.wall_seconds > 0
-               ? static_cast<double>(result.windows) / m.wall_seconds
-               : 0.0;
-  }
-  [[nodiscard]] double events_per_partition_window() const {
-    const auto denom = static_cast<double>(result.windows) *
-                       static_cast<double>(result.partition_events.size());
-    return denom > 0 ? static_cast<double>(result.events) / denom : 0.0;
-  }
-};
-
 /// Pull one numeric field out of the previous run's JSON (crude but enough
 /// for the flat schema this program writes itself).
 std::optional<double> json_number_after(const std::string& text,
@@ -166,18 +121,11 @@ std::optional<double> json_number_after(const std::string& text,
 
 /// The schema version this program writes. v2 added the top-level "schema"
 /// tag itself and the shared "micro_event_queue" section (see
-/// micro_event_queue.cpp); files without the tag predate v2. v3 added the
-/// "pdes" section (node-partitioned parallel simulation). v4 split the
-/// "pdes" parallel numbers into per-window-policy subsections (adaptive vs
-/// fixed, with windows, windows_per_sec and events_per_partition_window)
-/// and added the "pdes_fig05" window probe over the host-overhead matrix.
-/// v5 added allocs_per_event and peak_clock_pool (high-water pooled clock
-/// bodies, docs/scaling.md) to every pdes measurement — the allocation-free
-/// invariant tracked at --pdes-procs scale — and began preserving the
-/// bench_scale "scale" section across rewrites. v6 began preserving the
-/// extra_topology "topology" section (contended interconnects, src/topo/)
-/// across rewrites.
-constexpr int kSchema = 6;
+/// micro_event_queue.cpp); files without the tag predate v2. v3-v6 carried
+/// sections for the intra-run parallel mode and began preserving the
+/// bench_scale "scale" and extra_topology "topology" sections across
+/// rewrites. v7 dropped the parallel-mode sections along with the mode.
+constexpr int kSchema = 7;
 
 }  // namespace
 
@@ -253,101 +201,6 @@ int main(int argc, char** argv) {
                              ? serial.wall_seconds / parallel.wall_seconds
                              : 0.0;
 
-  // PDES arm: one run, serial event loop vs par_cores partition workers,
-  // the parallel run once per window policy. All three runs must be
-  // bit-identical (the docs/engine.md determinism contract), so equal
-  // events make the events/sec ratio a pure wall-clock speedup and the
-  // window counts a pure measure of barrier frequency.
-  const int pdes_cores =
-      std::max(2, static_cast<int>(cli.get_int("pdes-cores", 4)));
-  const std::string pdes_app = cli.get_or("pdes-app", "fft");
-  const double pdes_min = cli.get_double("pdes-min-speedup", 0.0);
-  const double pdes_min_reduction =
-      cli.get_double("pdes-min-window-reduction", 0.0);
-  apps::Scale pdes_scale = opt.scale;
-  if (auto s = cli.get("pdes-scale")) {
-    pdes_scale = *s == "large"   ? apps::Scale::kLarge
-                 : *s == "small" ? apps::Scale::kSmall
-                                 : apps::Scale::kTiny;
-  }
-  auto timed_run = [](const std::string& app, apps::Scale scale,
-                      const SimConfig& cfg, Measurement& m) {
-    auto w = apps::make_app(app, scale);
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    RunResult r = run(*w, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    m.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    m.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
-    m.events = r.events;
-    return r;
-  };
-  // --pdes-procs grows the simulated cluster (keeping the paper's 4 procs
-  // per node): more nodes means more events inside each conservative window,
-  // which is the regime the PDES mode exists for. 0 keeps the default.
-  SimConfig pdes_base = bench::base_config();
-  if (auto procs_arg = cli.get("pdes-procs")) {
-    pdes_base.comm.total_procs = bench::checked_total_procs(
-        argc > 0 ? argv[0] : nullptr, "--pdes-procs",
-        std::strtol(procs_arg->c_str(), nullptr, 10),
-        pdes_base.comm.procs_per_node);
-  }
-  std::fprintf(stderr, "perf_selfcheck: pdes arm: %s on %d procs, serial "
-               "then --par-cores=%d (adaptive, then fixed windows)\n",
-               pdes_app.c_str(), pdes_base.comm.total_procs, pdes_cores);
-  Measurement pdes_serial_m;
-  const RunResult pdes_serial =
-      timed_run(pdes_app, pdes_scale, pdes_base, pdes_serial_m);
-  SimConfig pdes_cfg = pdes_base;
-  pdes_cfg.par_cores = pdes_cores;
-  PolicyRun pdes_adaptive, pdes_fixed;
-  pdes_cfg.pdes_window = WindowPolicy::kAdaptive;
-  pdes_adaptive.result =
-      timed_run(pdes_app, pdes_scale, pdes_cfg, pdes_adaptive.m);
-  pdes_cfg.pdes_window = WindowPolicy::kFixed;
-  pdes_fixed.result = timed_run(pdes_app, pdes_scale, pdes_cfg, pdes_fixed.m);
-  const auto same_run = [&](const RunResult& r) {
-    return pdes_serial.time == r.time && pdes_serial.events == r.events &&
-           pdes_serial.stats == r.stats &&
-           pdes_serial.stats.counters() == r.stats.counters();
-  };
-  const bool pdes_same =
-      same_run(pdes_adaptive.result) && same_run(pdes_fixed.result);
-  const double pdes_speedup =
-      pdes_serial_m.events_per_sec() > 0
-          ? pdes_adaptive.m.events_per_sec() / pdes_serial_m.events_per_sec()
-          : 0.0;
-  const double pdes_reduction =
-      pdes_adaptive.result.windows > 0
-          ? static_cast<double>(pdes_fixed.result.windows) /
-                static_cast<double>(pdes_adaptive.result.windows)
-          : 0.0;
-
-  // fig05 window probe: the same host-overhead matrix as the sweep arms,
-  // under --par-cores with each window policy. The serial sweep above is
-  // the byte-identity reference; the suite-wide window totals show the
-  // adaptive win on the paper's own parameter matrix.
-  std::fprintf(stderr,
-               "perf_selfcheck: fig05 probe: %zu points at --par-cores=%d "
-               "(adaptive, then fixed windows)\n",
-               points.size(), pdes_cores);
-  auto par_points = points;
-  for (auto& p : par_points) p.cfg.par_cores = pdes_cores;
-  for (auto& p : par_points) p.cfg.pdes_window = WindowPolicy::kAdaptive;
-  std::vector<AppRun> fig_adaptive_runs;
-  measure(fig_adaptive_runs, par_points, opt.scale, nullptr);
-  for (auto& p : par_points) p.cfg.pdes_window = WindowPolicy::kFixed;
-  std::vector<AppRun> fig_fixed_runs;
-  measure(fig_fixed_runs, par_points, opt.scale, nullptr);
-  const std::uint64_t fig_adaptive_w = total_windows(fig_adaptive_runs);
-  const std::uint64_t fig_fixed_w = total_windows(fig_fixed_runs);
-  const bool fig_same = identical(serial_runs, fig_adaptive_runs) &&
-                        identical(serial_runs, fig_fixed_runs);
-  const double fig_reduction =
-      fig_adaptive_w > 0 ? static_cast<double>(fig_fixed_w) /
-                               static_cast<double>(fig_adaptive_w)
-                         : 0.0;
-
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"sweep\",\n"
@@ -372,44 +225,8 @@ int main(int argc, char** argv) {
     if (prev_ape) json << ", \"allocs_per_event\": " << *prev_ape;
     json << "},\n";
   }
-  const auto policy_json = [&json](const char* name, const PolicyRun& r) {
-    json << "\"" << name << "\": {\"wall_seconds\": " << r.m.wall_seconds
-         << ", \"events_per_sec\": " << r.m.events_per_sec()
-         << ", \"allocs_per_event\": " << r.m.allocs_per_event()
-         << ", \"peak_clock_pool\": " << r.result.peak_clock_pool
-         << ", \"windows\": " << r.result.windows
-         << ", \"windows_per_sec\": " << r.windows_per_sec()
-         << ", \"events_per_partition_window\": "
-         << r.events_per_partition_window() << "}";
-  };
   json << "  \"speedup\": " << speedup << ",\n"
-       << "  \"identical_results\": " << (same ? "true" : "false") << ",\n"
-       << "  \"pdes\": {\"app\": \"" << pdes_app << "\""
-       << ", \"procs\": " << pdes_base.comm.total_procs
-       << ", \"par_cores\": " << pdes_cores
-       << ", \"partitions\": " << pdes_adaptive.result.partition_events.size()
-       << ", \"serial_wall_seconds\": " << pdes_serial_m.wall_seconds
-       << ", \"serial_events_per_sec\": " << pdes_serial_m.events_per_sec()
-       << ", \"serial_allocs_per_event\": " << pdes_serial_m.allocs_per_event()
-       << ", \"serial_peak_clock_pool\": " << pdes_serial.peak_clock_pool
-       << ", ";
-  policy_json("adaptive", pdes_adaptive);
-  json << ", ";
-  policy_json("fixed", pdes_fixed);
-  json << ", \"window_reduction\": " << pdes_reduction
-       << ", \"speedup\": " << pdes_speedup << ", \"partition_events\": [";
-  for (std::size_t p = 0; p < pdes_adaptive.result.partition_events.size();
-       ++p) {
-    json << (p ? ", " : "") << pdes_adaptive.result.partition_events[p];
-  }
-  json << "], \"identical_results\": " << (pdes_same ? "true" : "false")
-       << "},\n"
-       << "  \"pdes_fig05\": {\"par_cores\": " << pdes_cores
-       << ", \"points\": " << par_points.size()
-       << ", \"adaptive_windows\": " << fig_adaptive_w
-       << ", \"fixed_windows\": " << fig_fixed_w
-       << ", \"window_reduction\": " << fig_reduction
-       << ", \"identical_results\": " << (fig_same ? "true" : "false") << "}";
+       << "  \"identical_results\": " << (same ? "true" : "false");
   if (micro_section) {
     json << ",\n  \"micro_event_queue\": " << *micro_section;
   }
@@ -455,59 +272,5 @@ int main(int argc, char** argv) {
   }
   std::printf("speedup: %.2fx, identical results: %s (written to %s)\n",
               speedup, same ? "yes" : "NO", out_path.c_str());
-  std::printf(
-      "pdes: %s serial %.3fs vs --par-cores=%d %.3fs -> %.2fx "
-      "(%zu partitions), identical results: %s\n",
-      pdes_app.c_str(), pdes_serial_m.wall_seconds, pdes_cores,
-      pdes_adaptive.m.wall_seconds, pdes_speedup,
-      pdes_adaptive.result.partition_events.size(), pdes_same ? "yes" : "NO");
-  std::printf(
-      "pdes footprint: %.3f allocs/event serial, peak pooled clock bodies "
-      "%llu serial / %llu adaptive\n",
-      pdes_serial_m.allocs_per_event(),
-      static_cast<unsigned long long>(pdes_serial.peak_clock_pool),
-      static_cast<unsigned long long>(pdes_adaptive.result.peak_clock_pool));
-  std::printf(
-      "pdes windows: adaptive %llu vs fixed %llu (%.1fx fewer; %.1f events "
-      "per partition-window adaptive, %.1f fixed)\n",
-      static_cast<unsigned long long>(pdes_adaptive.result.windows),
-      static_cast<unsigned long long>(pdes_fixed.result.windows),
-      pdes_reduction, pdes_adaptive.events_per_partition_window(),
-      pdes_fixed.events_per_partition_window());
-  std::printf(
-      "pdes fig05 probe: adaptive %llu vs fixed %llu windows over %zu "
-      "points (%.1fx fewer), identical results: %s\n",
-      static_cast<unsigned long long>(fig_adaptive_w),
-      static_cast<unsigned long long>(fig_fixed_w), par_points.size(),
-      fig_reduction, fig_same ? "yes" : "NO");
-  if (pdes_min > 0) {
-    // The speedup gate asks for real parallel speedup, which needs a
-    // hardware thread per partition worker: on a smaller machine the
-    // measurement is still recorded but the gate cannot be meaningful.
-    if (harness::JobPool::hardware_default() <
-        static_cast<unsigned>(pdes_cores)) {
-      std::fprintf(stderr,
-                   "perf_selfcheck: %u hardware thread(s) < %d partitions; "
-                   "recording the pdes speedup but skipping the "
-                   "--pdes-min-speedup gate\n",
-                   harness::JobPool::hardware_default(), pdes_cores);
-    } else if (pdes_speedup < pdes_min) {
-      std::fprintf(stderr,
-                   "perf_selfcheck: pdes speedup %.2fx below the --pdes-min-"
-                   "speedup=%.2f gate\n", pdes_speedup, pdes_min);
-      return 1;
-    }
-  }
-  if (pdes_min_reduction > 0 && pdes_reduction < pdes_min_reduction) {
-    std::fprintf(stderr,
-                 "perf_selfcheck: pdes window reduction %.2fx (fixed %llu / "
-                 "adaptive %llu) below the --pdes-min-window-reduction=%.2f "
-                 "gate\n",
-                 pdes_reduction,
-                 static_cast<unsigned long long>(pdes_fixed.result.windows),
-                 static_cast<unsigned long long>(pdes_adaptive.result.windows),
-                 pdes_min_reduction);
-    return 1;
-  }
-  return same && pdes_same && fig_same ? 0 : 1;
+  return same ? 0 : 1;
 }

@@ -14,27 +14,21 @@
 // that is exactly what tools/check_equivalence.sh verifies — but the process
 // exits 1 if any run reports a violation.
 //
-// With --par-cores=N every run executes in PDES mode on N partition worker
-// threads; the dump must still be byte-identical to the serial one, which is
-// what tools/pdes_equivalence.sh verifies.
-//
 // With --apps=a,b,c the sweep is restricted to that comma list (any
 // apps::make_app name, including stress-gen@<seed>).
 //
 // With --procs=N every run simulates an N-processor cluster instead of the
 // paper's 16 (validated like every procs flag: exit 4 when out of range or
-// not a multiple of procs_per_node) — the large-machine equivalence arms of
-// tools/pdes_equivalence.sh and tools/sanitize.sh use this.
+// not a multiple of procs_per_node) — tools/topology_equivalence.sh uses
+// this for its 64-processor fat tree and torus runs.
 //
 // With --topology=<spec> every run uses that interconnect backend
 // (src/topo/). The crossbar backend must leave the dump byte-identical to
 // the legacy default — tools/topology_equivalence.sh diffs exactly that —
 // while fat tree / torus runs append one "link" line per physical link
-// (occupancy counters), which the same script holds byte-identical between
-// serial and --par-cores runs.
+// (occupancy counters), whose presence the same script checks.
 //
 // Keep the format append-only: the equivalence check compares byte-for-byte.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -46,8 +40,6 @@ int main(int argc, char** argv) {
 
   harness::Cli cli(argc, argv);
   const bool check = cli.has("check-consistency");
-  const int par_cores =
-      static_cast<int>(std::max(1L, cli.get_int("par-cores", 1)));
   std::vector<std::string> app_list = {"fft", "lu", "stress-gen@3"};
   if (auto apps_arg = cli.get("apps")) {
     app_list.clear();
@@ -87,7 +79,6 @@ int main(int argc, char** argv) {
         cfg.comm.protocol = proto;
         cfg.comm.host_overhead = static_cast<Cycles>(overhead);
         cfg.check.enabled = check;
-        cfg.par_cores = par_cores;
         points.push_back({app, cfg, overhead});
       }
     }

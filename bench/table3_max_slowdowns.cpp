@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  auto all = sweep.run_points(points, opt.pool());
+  auto all = bench::run_points(sweep, points, opt, "endpoint");
 
   auto it = all.begin();
   for (const auto& app : opt.app_names) {

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
     points.push_back({app, best_cfg, 0});
     points.push_back({app, bench::base_config(), 1});
   }
-  auto runs = sweep.run_points(points, opt.pool());
+  auto runs = bench::run_points(sweep, points, opt, "achievable");
 
   harness::Table t({"application", "best", "achievable", "ideal"});
   for (std::size_t i = 0; i < opt.app_names.size(); ++i) {

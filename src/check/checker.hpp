@@ -1,15 +1,9 @@
 // Online consistency checker: a happens-before shadow oracle for the SVM
 // protocols.
 //
-// The serial simulation is single-threaded, so the checker observes one
-// global sequential order of every shared-memory access, protocol state
-// change and synchronization handoff. In PDES mode the partitions call the
-// hooks concurrently; an internal mutex serializes them, and every *verdict*
-// is interleaving-independent because reads are only judged against writes
-// their vector clock covers — writes that reached the shadow at least one
-// lookahead window (and one mutex acquisition) earlier. Unordered
-// concurrent accesses are already skipped as application races either way.
-// The checker maintains
+// The simulation is single-threaded, so the checker observes one global
+// sequential order of every shared-memory access, protocol state change and
+// synchronization handoff. The checker maintains
 //
 //  * a shadow copy of the shared address space, updated at every timed write
 //    and every out-of-band initialization write, plus per-4-byte-word
@@ -48,7 +42,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -188,7 +181,6 @@ class Checker {
   /// whose source nodes' clocks are strictly ordered are causally ordered,
   /// so permuting them cannot expose new behavior.
   [[nodiscard]] svm::VClock node_clock(NodeId n) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return last_vc_[static_cast<std::size_t>(n)];
   }
 
@@ -240,10 +232,6 @@ class Checker {
   svm::AddressSpace* space_;
   int nodes_;
   Mutation mutation_ = Mutation::kNone;
-  /// Serializes the on_* hooks in PDES mode (see the file comment);
-  /// uncontended in serial runs.
-  mutable std::mutex mu_;
-
   std::vector<std::unique_ptr<PageShadow>> pages_;
   std::vector<std::vector<NodePage>> per_node_;  // [node][page]
   /// Interval index the next write of each node belongs to (see

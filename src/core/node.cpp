@@ -9,22 +9,21 @@
 namespace svmsim {
 
 Node::Node(engine::Simulator& sim, const SimConfig& cfg, NodeId id, int procs,
-           ProcId first_proc, net::Network& network, Stats& stats,
-           Counters& counters)
+           ProcId first_proc, net::Network& network, Stats& stats)
     : sim_(&sim),
       cfg_(&cfg),
       id_(id),
-      counters_(&counters),
+      counters_(&stats.counters()),
       membus_(sim, cfg.arch) {
   std::vector<net::Nic*> nic_ptrs;
   for (int k = 0; k < std::max(1, cfg.comm.nics_per_node); ++k) {
     nics_.push_back(std::make_unique<net::Nic>(sim, cfg.arch, cfg.comm, id, k,
-                                               membus_, counters));
+                                               membus_, *counters_));
     network.add_nic(*nics_.back());
     nic_ptrs.push_back(nics_.back().get());
   }
   comm_ = std::make_unique<net::NodeComm>(sim, id, std::move(nic_ptrs),
-                                          counters);
+                                          *counters_);
   procs_.reserve(static_cast<std::size_t>(procs));
   for (int i = 0; i < procs; ++i) {
     const ProcId gid = first_proc + i;

@@ -19,14 +19,10 @@ namespace svmsim {
 
 class Node {
  public:
-  /// `counters` is where this node's machine-wide counters accumulate: the
-  /// global Stats counters in serial mode, the partition's staging counters
-  /// in PDES mode (merged after the run). Per-processor breakdowns always
-  /// come from `stats` — rows are disjoint per node, so they are safe to
-  /// write from the owning partition directly.
+  /// Machine-wide counters accumulate in stats.counters(); each processor
+  /// writes its own breakdown row of `stats`.
   Node(engine::Simulator& sim, const SimConfig& cfg, NodeId id, int procs,
-       ProcId first_proc, net::Network& network, Stats& stats,
-       Counters& counters);
+       ProcId first_proc, net::Network& network, Stats& stats);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -99,10 +99,9 @@ struct ArchParams {
   Cycles smp_barrier_cycles = 200;  // in-node hierarchical barrier stage
 
   /// Sanity-check the divisors and latency floors the network layer relies
-  /// on: every link bandwidth must be > 0 (min_serialization and
-  /// transmit() divide by it) and every wire/hop latency nonzero (delivery
-  /// events must land strictly in the future — the wire band and the PDES
-  /// lookahead both require it). Returns an empty string when valid, a
+  /// on: every link bandwidth must be > 0 (transmit() divides by it) and
+  /// every wire/hop latency nonzero (delivery events must land strictly in
+  /// the future, as the wire band requires). Returns an empty string when valid, a
   /// diagnostic naming the offending field otherwise. The Machine
   /// constructor enforces this; benches map it to bench::kExitBadArch.
   [[nodiscard]] std::string validate() const;
@@ -179,29 +178,6 @@ struct SimConfig {
   /// Diagnostics/ablation switches used by the paper's guided simulations
   /// (§6): pretend every page fetch is local, i.e. remote fetches are free.
   bool disable_remote_fetches = false;
-
-  /// Worker threads for the conservative node-partitioned PDES mode
-  /// (docs/engine.md): 1 = the serial engine (default); N > 1 splits the
-  /// simulated nodes into up to N contiguous groups, each driven by its own
-  /// scheduler, synchronized in windows of the crossbar wire latency.
-  /// Results are byte-identical to the serial engine for every value.
-  /// Deliberately not part of CommParams: it changes how the simulation is
-  /// executed, never what is simulated, so describe()/sweep keys ignore it.
-  int par_cores = 1;
-
-  /// Window-end policy for the PDES mode: adaptive (the default) stretches
-  /// each window to the earliest possible cross-partition send plus the
-  /// lookahead; fixed reproduces the original one-lookahead windows. Like
-  /// par_cores this changes how the simulation is executed, never what is
-  /// simulated — results are byte-identical under either policy — so
-  /// describe()/sweep keys ignore it. Building with
-  /// -DSVMSIM_PDES_WINDOW=fixed flips the compiled-in default.
-  WindowPolicy pdes_window =
-#ifdef SVMSIM_PDES_WINDOW_FIXED
-      WindowPolicy::kFixed;
-#else
-      WindowPolicy::kAdaptive;
-#endif
 
   /// Event-recorder settings (src/trace/). Never affects simulated time:
   /// results are byte-identical with tracing on or off.

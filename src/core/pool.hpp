@@ -11,13 +11,8 @@
 // heap traffic: `vector::assign` into a recycled buffer is a memcpy.
 //
 // Ownership rules (see docs/memory.md):
-//  * A pool is single-threaded by default (one Machine per thread). The PDES
-//    mode shares some pools across partition threads — message bodies travel
-//    between partitions and drop their last reference on the receiving side —
-//    so reference counts are always atomic, and a pool whose objects cross
-//    partitions is switched into locked mode with set_thread_safe(true)
-//    (freelist ops take a small spinlock). Single-threaded pools skip the
-//    lock and keep a debug owner-thread assert instead.
+//  * A pool is single-threaded: it belongs to one Machine, and a Machine is
+//    built, run and torn down on one thread.
 //  * A pool must outlive every PoolRef into it. Within a Machine this is
 //    arranged by declaration order (pools are declared before the structures
 //    that hold refs) plus Machine::~Machine clearing the event queue, whose
@@ -31,12 +26,9 @@
 // reuse.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,28 +42,8 @@ namespace detail {
 template <typename T>
 struct PoolNode {
   T value{};
-  // Atomic because PDES-mode message bodies are referenced from several
-  // partitions at once (e.g. a barrier-release vclock fanned out to every
-  // node) and the copies drop concurrently.
-  std::atomic<std::uint32_t> refs{0};
+  std::uint32_t refs = 0;
   ObjectPool<T>* owner = nullptr;
-};
-
-/// A tiny test-and-test-and-set spinlock for pool freelists: critical
-/// sections are a few pointer ops, far too short for a mutex to pay off.
-class SpinLock {
- public:
-  void lock() noexcept {
-    for (;;) {
-      if (!flag_.test_and_set(std::memory_order_acquire)) return;
-      while (flag_.test(std::memory_order_relaxed)) {
-      }
-    }
-  }
-  void unlock() noexcept { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
 };
 
 }  // namespace detail
@@ -83,18 +55,14 @@ class PoolRef {
  public:
   PoolRef() noexcept = default;
   PoolRef(const PoolRef& o) noexcept : node_(o.node_) {
-    if (node_ != nullptr) {
-      node_->refs.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (node_ != nullptr) ++node_->refs;
   }
   PoolRef(PoolRef&& o) noexcept : node_(std::exchange(o.node_, nullptr)) {}
   PoolRef& operator=(const PoolRef& o) noexcept {
     if (this != &o) {
       reset();
       node_ = o.node_;
-      if (node_ != nullptr) {
-        node_->refs.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (node_ != nullptr) ++node_->refs;
     }
     return *this;
   }
@@ -119,7 +87,7 @@ class PoolRef {
     return node_ != nullptr ? &node_->value : nullptr;
   }
   [[nodiscard]] std::uint32_t use_count() const noexcept {
-    return node_ != nullptr ? node_->refs.load(std::memory_order_relaxed) : 0;
+    return node_ != nullptr ? node_->refs : 0;
   }
 
  private:
@@ -142,46 +110,23 @@ class ObjectPool {
   // no PoolRef touches the dead pool; completed runs drain back to zero
   // outstanding, which tests/test_pools.cpp checks explicitly.
 
-  /// Switch the freelist into locked mode: acquire/recycle may then be
-  /// called from any thread (the PDES mode enables this on pools whose
-  /// objects cross partition boundaries). One-way for a pool's lifetime.
-  void set_thread_safe(bool on) noexcept { locked_ = on; }
-  [[nodiscard]] bool thread_safe() const noexcept { return locked_; }
-
-  /// Debug: transfer single-threaded ownership to the calling thread. Only
-  /// legal at quiescent points (no concurrent acquire/recycle possible).
-  void bind_to_this_thread() noexcept {
-#ifndef NDEBUG
-    owner_ = std::this_thread::get_id();
-#endif
-  }
-
   [[nodiscard]] PoolRef<T> acquire() {
-    assert((locked_ || owner_ == std::this_thread::get_id()) &&
-           "unlocked pool touched off its owning thread");
-    note_live(live_.fetch_add(1, std::memory_order_relaxed) + 1);
+    if (++live_ > peak_) peak_ = live_;
 #ifdef SVMSIM_POOL_PARANOID
     auto* n = new detail::PoolNode<T>();
-    paranoid_live_.fetch_add(1, std::memory_order_relaxed);
+    ++paranoid_live_;
 #else
-    detail::PoolNode<T>* n;
-    if (locked_) {
-      lock_.lock();
-      n = acquire_node();
-      lock_.unlock();
-    } else {
-      n = acquire_node();
-    }
+    detail::PoolNode<T>* n = acquire_node();
 #endif
     n->owner = this;
-    n->refs.store(1, std::memory_order_relaxed);
+    n->refs = 1;
     return PoolRef<T>(n);
   }
 
   /// Objects ever created (paranoid mode: currently live).
   [[nodiscard]] std::size_t allocated() const noexcept {
 #ifdef SVMSIM_POOL_PARANOID
-    return paranoid_live_.load(std::memory_order_relaxed);
+    return paranoid_live_;
 #else
     return all_.size();
 #endif
@@ -201,7 +146,7 @@ class ObjectPool {
   /// lifetime (scale diagnostics: perf_selfcheck records it per run so the
   /// allocation-free invariant is visible at large machine sizes).
   [[nodiscard]] std::size_t peak_outstanding() const noexcept {
-    return peak_.load(std::memory_order_relaxed);
+    return peak_;
   }
 
  private:
@@ -219,45 +164,21 @@ class ObjectPool {
   }
 #endif
 
-  /// Raise the peak-occupancy watermark to `live` (relaxed: the counters
-  /// are diagnostics; contention is already paid by the refcount RMW).
-  void note_live(std::size_t live) noexcept {
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
-    while (live > peak && !peak_.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
-  }
-
   void recycle(detail::PoolNode<T>* n) {
-    assert((locked_ || owner_ == std::this_thread::get_id()) &&
-           "unlocked pool released off its owning thread");
-    live_.fetch_sub(1, std::memory_order_relaxed);
+    --live_;
 #ifdef SVMSIM_POOL_PARANOID
-    paranoid_live_.fetch_sub(1, std::memory_order_relaxed);
+    --paranoid_live_;
     delete n;
 #else
-    // The caller held the last reference, so resetting the value (which may
-    // cascade refs into other pools) needs no lock; only the freelist does.
-    n->value.recycle();
-    if (locked_) {
-      lock_.lock();
-      free_.push_back(n);
-      lock_.unlock();
-    } else {
-      free_.push_back(n);
-    }
+    n->value.recycle();  // may cascade refs into other pools
+    free_.push_back(n);
 #endif
   }
 
-  bool locked_ = false;
-  detail::SpinLock lock_;
-  std::atomic<std::size_t> live_{0};  ///< currently outstanding
-  std::atomic<std::size_t> peak_{0};  ///< lifetime high-water mark
-#ifndef NDEBUG
-  std::thread::id owner_ = std::this_thread::get_id();
-#endif
+  std::size_t live_ = 0;  ///< currently outstanding
+  std::size_t peak_ = 0;  ///< lifetime high-water mark
 #ifdef SVMSIM_POOL_PARANOID
-  std::atomic<std::size_t> paranoid_live_{0};
+  std::size_t paranoid_live_ = 0;
 #else
   std::vector<std::unique_ptr<detail::PoolNode<T>>> all_;
   std::vector<detail::PoolNode<T>*> free_;
@@ -267,7 +188,7 @@ class ObjectPool {
 template <typename T>
 void PoolRef<T>::reset() noexcept {
   if (node_ == nullptr) return;
-  if (node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  if (--node_->refs == 0) {
     node_->owner->recycle(node_);
   }
   node_ = nullptr;

@@ -45,15 +45,9 @@ struct RunResult {
   /// Consistency violations found by the shadow oracle; always 0 unless the
   /// run had cfg.check.enabled (and the checker compiled in).
   std::uint64_t check_violations = 0;
-  /// PDES mode (cfg.par_cores > 1): events fired by each partition's queue
-  /// (sums to `events`) and conservative windows executed. Serial runs have
-  /// one entry and zero windows.
-  std::vector<std::uint64_t> partition_events;
-  std::uint64_t windows = 0;
   /// High-water mark of simultaneously outstanding pooled clock bodies
-  /// (full vector clocks + sparse deltas, summed over partitions). A host
-  /// diagnostic, not simulated state: serial and PDES runs of one point may
-  /// legitimately differ here, so it is excluded from bit-identity checks.
+  /// (full vector clocks + sparse deltas). A host diagnostic, not simulated
+  /// state.
   std::uint64_t peak_clock_pool = 0;
 
   /// Per-processor rate of `events` per million compute cycles, averaged
@@ -64,9 +58,7 @@ struct RunResult {
 /// Run `w` on a machine configured by `cfg`. Throws if the simulation
 /// deadlocks or exceeds `max_cycles`. A non-null `hook` installs a
 /// schedule-choice hook (engine/choice.hpp) on the machine's simulator —
-/// explorer mode, serial only: with cfg.par_cores > 1 the run throws
-/// std::invalid_argument (arbitrated schedules are alternative histories,
-/// which the PDES byte-identity contract cannot cover).
+/// explorer mode.
 RunResult run(Workload& w, const SimConfig& cfg,
               Cycles max_cycles = Cycles{1} << 42,
               engine::ChoiceHook* hook = nullptr);

@@ -130,7 +130,7 @@ class Stats {
   [[nodiscard]] Cycles total_compute() const;
 
   /// Per-link occupancy (empty unless a contended topology ran). Included
-  /// in operator==, so the PDES byte-identity gates cover link state too.
+  /// in operator==, so the byte-identity gates cover link state too.
   [[nodiscard]] const std::vector<LinkUse>& links() const noexcept {
     return links_;
   }

@@ -33,9 +33,8 @@
 // sequence), not from global insertion order — and at equal time the whole
 // wire band fires before any (time, seq) event. This makes the delivery
 // order of network traffic a pure function of each sender's local history,
-// which is what lets the node-partitioned parallel mode (docs/engine.md,
-// "PDES mode") replay the exact serial order without ever observing a
-// global sequence counter.
+// so the explorer (docs/exploration.md) can name a wire-order choice by
+// packet content rather than by insertion history.
 #pragma once
 
 #include <algorithm>
@@ -168,22 +167,6 @@ class HeapScheduler {
   /// ordered among wire events by `key`. See the file comment.
   void schedule_wire(Cycles when, std::uint64_t key, Action action);
 
-  /// Splice a whole batch of wire-band records in one call: append every
-  /// (when, key, item) entry, then restore the band's heap invariant once —
-  /// O(n + band) instead of n individual O(log band) pushes. This is the
-  /// PDES drain path for a TimedChannel batch; entries are moved from and
-  /// must be strictly in the future.
-  template <typename Batch>
-  void schedule_wire_batch(Batch& batch) {
-    if (batch.empty()) return;
-    wire_.reserve(wire_.size() + batch.size());
-    for (auto& e : batch) {
-      assert(e.when > now_ && "wire events must be strictly in the future");
-      wire_.push_back(WireEvent{e.when, e.key, 0, std::move(e.item)});
-    }
-    std::make_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-  }
-
   /// Install (or clear, with nullptr) the wire-band choice hook. Serial
   /// explorer-mode only; see WireArbiter.
   void set_wire_arbiter(WireArbiter* arb) noexcept { arbiter_ = arb; }
@@ -204,20 +187,6 @@ class HeapScheduler {
     if (!heap_.empty()) next = heap_.front().when;
     if (!wire_.empty() && wire_.front().when < next) next = wire_.front().when;
     return next;
-  }
-
-  /// Conservative lower bound on the earliest time an event fired from this
-  /// queue could launch a cross-partition send, given that every send costs
-  /// at least `floor` cycles of host/NI processing between the event that
-  /// posts it and its first packet reaching the wire: head-of-queue time
-  /// plus the floor (saturating), or kNever ("unbounded") when idle — the
-  /// adaptive PDES window query (docs/engine.md, "PDES mode"). Pass
-  /// floor = 0 when a send is already mid-pipeline and only the bare
-  /// head-of-queue bound is sound.
-  [[nodiscard]] Cycles next_send_bound(Cycles floor) const noexcept {
-    const Cycles t = next_time();
-    if (t == kNever) return t;
-    return t >= kNever - floor ? kNever : t + floor;
   }
 
   /// Run a single event; returns false if none pending.
@@ -333,22 +302,6 @@ class TieredScheduler {
   /// ordered among wire events by `key`. See the file comment.
   void schedule_wire(Cycles when, std::uint64_t key, Action action);
 
-  /// Splice a whole batch of wire-band records in one call: append every
-  /// (when, key, item) entry, then restore the band's heap invariant once —
-  /// O(n + band) instead of n individual O(log band) pushes. This is the
-  /// PDES drain path for a TimedChannel batch; entries are moved from and
-  /// must be strictly in the future.
-  template <typename Batch>
-  void schedule_wire_batch(Batch& batch) {
-    if (batch.empty()) return;
-    wire_.reserve(wire_.size() + batch.size());
-    for (auto& e : batch) {
-      assert(e.when > now_ && "wire events must be strictly in the future");
-      wire_.push_back(WireEvent{e.when, e.key, 0, std::move(e.item)});
-    }
-    std::make_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-  }
-
   /// Install (or clear, with nullptr) the wire-band choice hook. Serial
   /// explorer-mode only; see WireArbiter.
   void set_wire_arbiter(WireArbiter* arb) noexcept { arbiter_ = arb; }
@@ -367,16 +320,6 @@ class TieredScheduler {
   /// forward (advance() splices the next occupied tick onto the lane, which
   /// is a pure representation change).
   [[nodiscard]] Cycles next_time();
-
-  /// Conservative lower bound on the earliest time an event fired from this
-  /// queue could launch a cross-partition send — see
-  /// HeapScheduler::next_send_bound for the contract (non-const here only
-  /// because next_time() may sweep the wheel cursor).
-  [[nodiscard]] Cycles next_send_bound(Cycles floor) {
-    const Cycles t = next_time();
-    if (t == kNever) return t;
-    return t >= kNever - floor ? kNever : t + floor;
-  }
 
   /// Run a single event; returns false if none pending.
   bool step();

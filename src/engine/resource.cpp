@@ -43,15 +43,9 @@ void Resource::release() {
 }
 
 Task<void> Resource::serve(Cycles service) {
-  // Commit this request to the FIFO backlog up front (the body runs
-  // synchronously to the first suspension point, so the update lands at
-  // submit time): back-to-back service means the queue cannot clear before
-  // every already-submitted request's service has been paid.
-  committed_until_ = std::max(committed_until_, sim_->now()) + service;
   co_await acquire();
   ++grants_;
   busy_cycles_ += service;
-  busy_until_ = sim_->now() + service;
   if (service > 0) co_await sim_->delay(service);
   release();
 }
@@ -60,7 +54,6 @@ Task<void> Resource::with(std::function<Task<void>()> body) {
   co_await acquire();
   ++grants_;
   const Cycles start = sim_->now();
-  busy_until_ = start;  // body duration unknown; grant time is the bound
   try {
     co_await body();
   } catch (...) {
@@ -93,7 +86,6 @@ Task<void> PriorityResource::serve(int priority, Cycles service) {
   ++grants_;
   const Cycles occupancy = arbitration_ + service;
   busy_cycles_ += occupancy;
-  busy_until_ = sim_->now() + occupancy;
   if (occupancy > 0) co_await sim_->delay(occupancy);
   if (!waiters_.empty()) {
     std::pop_heap(waiters_.begin(), waiters_.end(), After{});

@@ -46,24 +46,6 @@ class Resource {
     return waiters_.size();
   }
 
-  /// Lower bound on when the current grant's service completes. Exact for
-  /// serve() grants (grant time + service), grant time for with() grants
-  /// (body duration unknown). Meaningful only while busy(); a stale value
-  /// from an earlier grant is still a valid lower bound for any future
-  /// completion. The adaptive PDES window uses this to bound a suspended
-  /// NIC tx pipeline's next packet launch (docs/engine.md, "PDES mode").
-  [[nodiscard]] Cycles busy_until() const noexcept { return busy_until_; }
-
-  /// Completion lower bound for the most recently submitted serve():
-  /// FIFO service is back-to-back, so each submission pushes this to
-  /// max(committed, now) + service. A new request submitted now completes
-  /// no earlier than max(committed_until(), now) + its own service — the
-  /// backlog-aware form of busy_until() (with() holds are not counted, so
-  /// this stays a lower bound).
-  [[nodiscard]] Cycles committed_until() const noexcept {
-    return committed_until_;
-  }
-
   /// Event-context FIFO reservation: occupy the resource for `service`
   /// cycles starting when the committed backlog drains (never before
   /// `now`), and return the completion time. The non-coroutine sibling of
@@ -75,7 +57,6 @@ class Resource {
   Cycles reserve(Cycles now, Cycles service) noexcept {
     const Cycles start = committed_until_ > now ? committed_until_ : now;
     committed_until_ = start + service;
-    busy_until_ = committed_until_;
     busy_cycles_ += service;
     ++grants_;
     return committed_until_;
@@ -89,8 +70,7 @@ class Resource {
   Simulator* sim_;
   bool busy_ = false;
   Cycles busy_cycles_ = 0;
-  Cycles busy_until_ = 0;
-  Cycles committed_until_ = 0;
+  Cycles committed_until_ = 0;  ///< end of the reserve() backlog
   std::uint64_t grants_ = 0;
   RingQueue<std::coroutine_handle<>> waiters_;
 };
@@ -111,10 +91,6 @@ class PriorityResource {
     return waiters_.size();
   }
 
-  /// Lower bound on when the current grant's occupancy (arbitration +
-  /// service) completes; see Resource::busy_until().
-  [[nodiscard]] Cycles busy_until() const noexcept { return busy_until_; }
-
  private:
   struct Waiter {
     int priority;
@@ -134,7 +110,6 @@ class PriorityResource {
   Cycles arbitration_;
   bool busy_ = false;
   Cycles busy_cycles_ = 0;
-  Cycles busy_until_ = 0;
   std::uint64_t grants_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<Waiter> waiters_;  // binary heap, see After

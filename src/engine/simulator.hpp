@@ -30,17 +30,6 @@ class Simulator {
   [[nodiscard]] Cycles now() const noexcept { return queue_.now(); }
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
 
-  /// Time of the earliest pending event, or kNever when idle.
-  [[nodiscard]] Cycles next_time() { return queue_.next_time(); }
-
-  /// Conservative lower bound on the earliest time an event fired here could
-  /// launch a cross-partition send (EventQueue::next_send_bound): the
-  /// head-of-queue time plus `floor` host/NI cycles, kNever when idle. The
-  /// adaptive PDES window publishes this before each barrier crossing.
-  [[nodiscard]] Cycles next_send_bound(Cycles floor) {
-    return queue_.next_send_bound(floor);
-  }
-
   /// The run's event recorder, or nullptr when tracing is off (the common
   /// case). Owned by the Machine; every layer reaches it through its sim_
   /// pointer (see src/trace/trace.hpp and the SVMSIM_TRACE_EVENT macro).

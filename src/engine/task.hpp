@@ -12,7 +12,6 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "engine/frame_pool.hpp"
@@ -193,30 +192,16 @@ struct FrameNode {
 
 }  // namespace detail
 
-/// Tracks the live spawned coroutines of one simulation partition.
-///
-/// Detached frames used to thread themselves on a bare thread_local list,
-/// which silently corrupted both lists when a frame spawned on one thread
-/// completed (and so unlinked itself) on another — exactly what the PDES
-/// mode does when a Machine is built on the caller's thread and run on
-/// partition worker threads. Each promise now records the registry that was
-/// current at spawn time and always unlinks from *that* registry; a debug
-/// owner-thread assert enforces that link/unlink only ever happen on the
-/// thread the registry is currently bound to, so a cross-thread release is
-/// a loud assert instead of silent list corruption
-/// (tests/test_partition.cpp has the regression).
-///
-/// Threading contract: a registry is single-threaded at any instant. Bind it
-/// to a thread with bind_to_this_thread() only at quiescent points (before a
-/// run, at window barriers, after workers join) — ownership transfers, it is
-/// never shared.
+/// Tracks the live spawned coroutines of one simulation. Each promise
+/// records the registry that was current at spawn time and always unlinks
+/// from *that* registry. Single-threaded, like the simulation it serves.
 class FrameRegistry {
  public:
-  FrameRegistry() noexcept { bind_to_this_thread(); }
+  FrameRegistry() noexcept = default;
   FrameRegistry(const FrameRegistry&) = delete;
   FrameRegistry& operator=(const FrameRegistry&) = delete;
 
-  /// The per-thread default registry (serial mode and tests).
+  /// The per-thread default registry (standalone simulators and tests).
   static FrameRegistry& tls() noexcept {
     thread_local FrameRegistry reg;
     return reg;
@@ -235,25 +220,13 @@ class FrameRegistry {
     return cur != nullptr ? *cur : tls();
   }
 
-  /// Transfer ownership to the calling thread. Only legal while no other
-  /// thread can touch this registry (see the threading contract above).
-  void bind_to_this_thread() noexcept {
-#ifndef NDEBUG
-    owner_ = std::this_thread::get_id();
-#endif
-  }
-
   void link(detail::FrameNode* n) noexcept {
-    assert(owner_ == std::this_thread::get_id() &&
-           "frame spawned off its registry's owning thread");
     n->next = head_;
     if (head_ != nullptr) head_->prev = n;
     head_ = n;
   }
 
   void unlink(detail::FrameNode* n) noexcept {
-    assert(owner_ == std::this_thread::get_id() &&
-           "frame released off its registry's owning thread");
     if (n->prev != nullptr) {
       n->prev->next = n->next;
     } else {
@@ -274,9 +247,6 @@ class FrameRegistry {
 
  private:
   detail::FrameNode* head_ = nullptr;
-#ifndef NDEBUG
-  std::thread::id owner_{};
-#endif
 };
 
 /// RAII: route spawn() on this thread into `reg` for the current scope.

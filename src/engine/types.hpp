@@ -12,23 +12,12 @@ namespace svmsim {
 using Cycles = std::uint64_t;
 
 /// Sentinel "no pending event" timestamp (all-ones). Returned by scheduler
-/// and channel peek operations; no real event ever fires at this time.
+/// peek operations; no real event ever fires at this time.
 inline constexpr Cycles kNever = ~Cycles{0};
 
 /// Identifier types. Nodes are SMP boxes; processors are numbered globally
 /// (0 .. total_processors-1) and map to nodes in round-robin blocks.
 using NodeId = int;
 using ProcId = int;
-
-/// How the PDES WindowDriver chooses each window's end (docs/engine.md,
-/// "PDES mode"): adaptive windows stretch to the earliest possible
-/// cross-partition send plus lookahead; fixed windows are always exactly one
-/// lookahead wide. Fixed is the escape hatch (-DSVMSIM_PDES_WINDOW=fixed
-/// flips the compiled default, SimConfig::pdes_window selects at runtime);
-/// results are byte-identical under either policy.
-enum class WindowPolicy {
-  kAdaptive,
-  kFixed,
-};
 
 }  // namespace svmsim

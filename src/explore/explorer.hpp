@@ -65,9 +65,8 @@ struct ExploreResult {
   std::vector<Schedule> violating;
 };
 
-/// Drives exploration of one (app, config) point. The config must be
-/// serial (par_cores == 1); checking should be enabled if the oracle or
-/// happens-before pruning is wanted.
+/// Drives exploration of one (app, config) point. Checking should be
+/// enabled if the oracle or happens-before pruning is wanted.
 class Explorer {
  public:
   Explorer(std::string app, apps::Scale scale, SimConfig cfg,

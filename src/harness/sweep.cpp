@@ -1,10 +1,29 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 namespace svmsim::harness {
+
+namespace {
+
+std::string point_message(const std::string& app, double value,
+                          const std::string& reason) {
+  char v[32];
+  std::snprintf(v, sizeof v, "%g", value);
+  return app + " param=" + v + ": " + reason;
+}
+
+}  // namespace
+
+PointError::PointError(const std::string& app, double value,
+                       const std::string& reason)
+    : std::runtime_error(point_message(app, value, reason)),
+      app_(app),
+      value_(value),
+      reason_(reason) {}
 
 Cycles Sweep::baseline(const std::string& app, const SimConfig& base) {
   const BaselineKey key = key_of(app, base);
@@ -31,11 +50,15 @@ AppRun Sweep::run_point(const std::string& app, const SimConfig& cfg,
   AppRun out;
   out.app = app;
   out.param = param_value;
-  out.uniprocessor = baseline(app, cfg);
-  auto w = apps::make_app(app, scale_);
-  out.result = run(*w, cfg);
+  try {
+    out.uniprocessor = baseline(app, cfg);
+    auto w = apps::make_app(app, scale_);
+    out.result = run(*w, cfg);
+  } catch (const std::exception& e) {
+    throw PointError(app, param_value, e.what());
+  }
   if (!out.result.validated) {
-    throw std::runtime_error(app + ": run failed validation");
+    throw PointError(app, param_value, "run failed validation");
   }
   return out;
 }
@@ -58,7 +81,14 @@ void Sweep::prewarm_baselines(const std::vector<SweepPoint>& points,
   std::vector<JobPool::Job> jobs;
   jobs.reserve(distinct.size());
   for (const SweepPoint* p : distinct) {
-    jobs.push_back([this, p] { baseline(p->app, p->cfg); });
+    jobs.push_back([this, p] {
+      // A failing baseline is reported by the points that need it: their
+      // run_point recomputes it and names itself in the PointError.
+      try {
+        baseline(p->app, p->cfg);
+      } catch (const std::exception&) {
+      }
+    });
   }
   pool->run(std::move(jobs));
 }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,23 @@ struct AppRun {
   }
 };
 
+/// A sweep point whose run failed: validation failure, deadlock, exceeded
+/// max cycles or a rejected configuration. what() reads
+/// "<app> param=<value>: <reason>".
+class PointError : public std::runtime_error {
+ public:
+  PointError(const std::string& app, double value, const std::string& reason);
+
+  [[nodiscard]] const std::string& app() const noexcept { return app_; }
+  [[nodiscard]] double value() const noexcept { return value_; }
+  [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
+
+ private:
+  std::string app_;
+  double value_;
+  std::string reason_;
+};
+
 /// One simulation point of a sweep: an application at a configuration.
 struct SweepPoint {
   std::string app;
@@ -62,7 +80,8 @@ class Sweep {
   /// Uniprocessor time for `app` under `base` (cached per app+page size).
   Cycles baseline(const std::string& app, const SimConfig& base);
 
-  /// Run one application at one configuration.
+  /// Run one application at one configuration. Any failure is rethrown as
+  /// a PointError naming `app` and `param_value`.
   AppRun run_point(const std::string& app, const SimConfig& cfg,
                    double param_value);
 

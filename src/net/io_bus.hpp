@@ -27,10 +27,6 @@ class IoBus {
   }
 
   [[nodiscard]] Cycles busy_cycles() const { return res_.busy_cycles(); }
-  [[nodiscard]] Cycles busy_until() const { return res_.busy_until(); }
-  [[nodiscard]] Cycles committed_until() const {
-    return res_.committed_until();
-  }
 
  private:
   const CommParams* comm_;

@@ -35,55 +35,8 @@ Nic::Nic(engine::Simulator& sim, const ArchParams& arch,
       send_items_(sim, 0),
       send_space_(sim),
       recv_items_(sim, 0) {
-  min_tx_ = Network::min_tx_cycles(arch, comm);
-  dma_min_ = comm.io_bus_cycles(arch.packet_header_bytes);
-  mem_min_ = min_tx_ - comm.ni_occupancy - dma_min_;
   engine::spawn(tx_loop());
   engine::spawn(rx_loop());
-}
-
-Cycles Nic::next_remote_tx_lb() const noexcept {
-  // Bound the next packet launch of the in-pipeline message (if any) from
-  // the last leg boundary, raised by the live state of the resource the
-  // pipeline occupies: a barrier that catches a leg stalled on a contended
-  // bus sees the stall-aware bound, not a stale snapshot. Each arm is a
-  // lower bound whether the pipeline holds the resource or still waits in
-  // its queue.
-  Cycles t;
-  switch (tx_stage_) {
-    case TxStage::kIdle:
-      // Nothing popped: the dequeue event fires no earlier than now, and
-      // the first packet pays a full pipeline after it (added below).
-      t = sim_->now();
-      break;
-    case TxStage::kNiServe:
-      // tx_loop is the NI send processor's only client, so the pipeline
-      // holds it: service completes exactly at busy_until().
-      t = std::max(leg_lb_, ni_tx_.busy_until() + dma_min_ + mem_min_);
-      break;
-    case TxStage::kDma:
-      // Holding, or queued behind the receive path's DMA: either way no
-      // launch before the current I/O-bus grant completes plus our
-      // memory-bus minimum.
-      t = std::max(leg_lb_, iobus_.busy_until() + mem_min_);
-      break;
-    case TxStage::kMembus:
-      // Holding: the launch happens the cycle our transaction completes,
-      // which is busy_until(). Waiting: the launch is later still.
-      t = std::max(leg_lb_, membus_->busy_until());
-      break;
-  }
-  if (tx_stage_ != TxStage::kIdle && cur_remote_) return t;
-  // The first remote message is still in the FIFO send queue: the
-  // in-pipeline message's remaining packets finish no earlier than t, and
-  // every queued message ahead of the remote one — plus the remote one
-  // itself — pays at least one more full per-packet pipeline.
-  Cycles queued = min_tx_;
-  for (std::size_t i = 0; i < send_q_.size(); ++i) {
-    if (network_->remote(self_, send_q_[i].dst)) break;
-    queued += min_tx_;
-  }
-  return t + queued;
 }
 
 engine::Task<void> Nic::post(Message m) {
@@ -110,12 +63,6 @@ engine::Task<void> Nic::post(Message m) {
                          static_cast<std::uint32_t>(m.dst),
                      wire);
   }
-  // Adaptive-window send bookkeeping: count the message as cross-partition
-  // work in flight until its last packet is on the wire. A post still
-  // suspended in the overflow wait above is not counted — its resumption is
-  // itself a future event, so the head-of-queue + min_tx_cycles bound
-  // already covers it.
-  if (network_->remote(self_, m.dst)) ++remote_pending_;
   send_q_bytes_ += wire;
   send_q_.push_back(std::move(m));
   send_items_.release();
@@ -128,7 +75,6 @@ engine::Task<void> Nic::tx_loop() {
     MessageRef msg = network_->acquire_message();
     *msg = std::move(send_q_.front());
     send_q_.pop_front();
-    cur_remote_ = network_->remote(self_, msg->dst);
 
     const std::uint64_t wire = wire_bytes(*msg);
     std::uint64_t remaining = wire;
@@ -139,30 +85,11 @@ engine::Task<void> Nic::tx_loop() {
       const std::uint64_t pkt_bytes = chunk + arch_->packet_header_bytes;
 
       // NI firmware prepares the packet, then DMAs it out of host memory.
-      // Each leg boundary refreshes the adaptive-window launch bound and
-      // records which resource the pipeline occupies next, so a barrier
-      // that catches the pipeline mid-leg can bound the launch from the
-      // live resource state (next_remote_tx_lb).
       const Cycles ni_t0 = sim_->now();
-      tx_stage_ = TxStage::kNiServe;
-      leg_lb_ = sim_->now() + min_tx_;
       co_await ni_tx_.serve(comm_->ni_occupancy);
       SVMSIM_NIC_EVENT(kNiTx, pkt_bytes, sim_->now() - ni_t0);
-      tx_stage_ = TxStage::kDma;
-      // The I/O bus is FIFO and shared with the receive path: our DMA
-      // completes no earlier than the already-committed backlog plus our
-      // own transfer.
-      leg_lb_ = std::max(sim_->now(), iobus_.committed_until()) +
-                iobus_.transfer_cycles(pkt_bytes) + mem_min_;
       co_await iobus_.dma(pkt_bytes);
       SVMSIM_NIC_EVENT(kIoBus, pkt_bytes, 0);
-      tx_stage_ = TxStage::kMembus;
-      // NI-out wins the next memory-bus arbitration, so our transaction
-      // completes no earlier than the current grant plus arbitration plus
-      // our own transfer (later if another NI-out master is queued ahead).
-      leg_lb_ = std::max(sim_->now(), membus_->busy_until()) +
-                arch_->membus_arbitration_cycles +
-                membus_->transfer_cycles(pkt_bytes);
       co_await membus_->transaction(memsys::BusMaster::kNIOut, pkt_bytes);
 
       ++counters_->packets_sent;
@@ -180,13 +107,6 @@ engine::Task<void> Nic::tx_loop() {
       p.msg = msg;
       network_->transmit(std::move(p), sim_->now());
     }
-    if (cur_remote_) {
-      assert(remote_pending_ > 0);
-      --remote_pending_;
-    }
-    tx_stage_ = TxStage::kIdle;
-    cur_remote_ = false;
-    leg_lb_ = sim_->now();
     msg.reset();
     send_q_bytes_ -= wire;
     send_space_.fire();
@@ -253,15 +173,15 @@ void Network::transmit(Packet p, Cycles now) {
       static_cast<Cycles>(static_cast<double>(p.bytes) /
                           arch_->link_bytes_per_cycle);
   Cycles latency = arch_->wire_latency_cycles + serialization;
-  // Keep deliveries strictly in the future: min_latency() is the PDES
-  // lookahead, and the wire band requires when > now at the destination.
+  // Keep deliveries strictly in the future: the wire band requires
+  // when > now.
   if (latency < 1) latency = 1;
   const Cycles when = now + latency;
   Nic* dst = nics_.at(static_cast<std::size_t>(p.dst))
                  .at(static_cast<std::size_t>(p.nic_index));
   // (dst, src, NI, launch seq): a total order on same-cycle deliveries that
-  // only depends on the sending NI's local history — identical in serial
-  // and partitioned runs. Packing/decoding lives in net/wire_key.hpp.
+  // only depends on the sending NI's local history. Packing/decoding lives
+  // in net/wire_key.hpp.
   const std::uint64_t key = make_wire_key(p.dst, p.src, p.nic_index,
                                           p.wire_seq);
   // The closure is kept to (pointer, ref, u32, bool) so it fits the event
@@ -278,16 +198,6 @@ void Network::transmit(Packet p, Cycles now) {
     q.msg = std::move(msg);
     dst->packet_arrived(std::move(q));
   };
-  if (!routes_.empty()) {
-    const Route& r = routes_[static_cast<std::size_t>(p.src)]
-                            [static_cast<std::size_t>(p.dst)];
-    if (r.channel != nullptr) {
-      r.channel->push(when, key, std::move(deliver));
-    } else {
-      r.queue->schedule_wire(when, key, std::move(deliver));
-    }
-    return;
-  }
   sim_->queue().schedule_wire(when, key, std::move(deliver));
 }
 
@@ -304,15 +214,6 @@ void Network::transmit_routed(Packet p, Cycles now) {
   h->bytes = static_cast<std::uint32_t>(p.bytes);
   h->next = 0;
   h->last = p.last;
-  // hop() decrements the firing partition's wire-event count on entry; this
-  // inline first hop was never scheduled, so pre-increment to wash. The
-  // injection link is owned by the source node (topology contract), so the
-  // firing partition is the caller's own.
-  if (!wire_pending_.empty()) {
-    ++wire_pending_[static_cast<std::size_t>(
-                        node_part_[static_cast<std::size_t>(p.src)])]
-          .n;
-  }
   hop(std::move(h), now);
 }
 
@@ -321,14 +222,6 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
   topo_->route(wire_key_src(h->key), wire_key_dst(h->key), r);
   topo::Link& L =
       topo_->link(r.link[static_cast<std::size_t>(h->next)]);
-  // This event fires on the thread of the partition owning L (scheduling
-  // below targets the next link's owner), so link state and the pending
-  // count are touched single-threaded, in deterministic wire-band order.
-  if (!wire_pending_.empty()) {
-    --wire_pending_[static_cast<std::size_t>(
-                        node_part_[static_cast<std::size_t>(L.owner)])]
-          .n;
-  }
   // FIFO link serialization: same truncating bytes/bandwidth formula as the
   // legacy path, queued behind the link's committed backlog.
   const auto ser = static_cast<Cycles>(static_cast<double>(h->bytes) /
@@ -340,17 +233,11 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
   SVMSIM_TRACE_EVENT(*sim_, trace::Category::kNet, trace::Event::kLinkHop, -1,
                      L.owner, r.link[static_cast<std::size_t>(h->next)],
                      waited);
-  // Hop advance = queueing + serialization + link latency >= latency +
-  // header serialization >= Topology::min_latency() — the PDES lookahead
-  // floor (and strictly positive, as the wire band requires).
+  // Hop advance = queueing + serialization + link latency, strictly
+  // positive as the wire band requires (ArchParams::validate).
   const Cycles when = done + L.latency;
   ++h->next;
   const bool final_hop = static_cast<int>(h->next) == r.hops;
-  const NodeId from = L.owner;
-  const NodeId to = final_hop
-                        ? wire_key_dst(h->key)
-                        : topo_->link(r.link[static_cast<std::size_t>(h->next)])
-                              .owner;
   const std::uint64_t key = h->key;
   Action next = final_hop
                     ? Action([this, h = std::move(h)]() mutable {
@@ -359,32 +246,11 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
                     : Action([this, h = std::move(h), when]() mutable {
                         hop(std::move(h), when);
                       });
-  if (!routes_.empty()) {
-    const Route& rt = routes_[static_cast<std::size_t>(from)]
-                             [static_cast<std::size_t>(to)];
-    if (rt.channel != nullptr) {
-      // Cross-partition: the receiver counts it on drain (note_drained).
-      rt.channel->push(when, key, std::move(next));
-      return;
-    }
-    if (!wire_pending_.empty()) {
-      ++wire_pending_[static_cast<std::size_t>(
-                          node_part_[static_cast<std::size_t>(to)])]
-            .n;
-    }
-    rt.queue->schedule_wire(when, key, std::move(next));
-    return;
-  }
   sim_->queue().schedule_wire(when, key, std::move(next));
 }
 
 void Network::deliver(core::PoolRef<Hop> h) {
   const NodeId dst = wire_key_dst(h->key);
-  if (!wire_pending_.empty()) {
-    --wire_pending_[static_cast<std::size_t>(
-                        node_part_[static_cast<std::size_t>(dst)])]
-          .n;
-  }
   Nic* nic = nics_.at(static_cast<std::size_t>(dst))
                  .at(static_cast<std::size_t>(wire_key_nic(h->key)));
   Packet q;

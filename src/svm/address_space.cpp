@@ -45,11 +45,6 @@ GlobalAddr AddressSpace::alloc(std::uint64_t bytes, Distribution d) {
 
 NodeId AddressSpace::assign_home(PageId p, NodeId toucher) {
   auto& slot = homes_[static_cast<std::size_t>(p)];
-  // First-touch homing is a race in PDES mode: which partition touches the
-  // page first depends on thread scheduling, not simulated time. All shipped
-  // apps place data explicitly, so this path is simply disallowed there.
-  assert(!(parallel_ && slot < 0) &&
-         "first-touch distribution is not supported with par_cores > 1");
   if (slot < 0) slot = toucher;
   return slot;
 }

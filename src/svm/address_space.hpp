@@ -101,14 +101,6 @@ class AddressSpace {
     return t;
   }
 
-  /// PDES wiring: the twin pool serves write faults on every partition (each
-  /// twin ref stays on its node's partition, but the shared freelist does
-  /// not), and first-touch homing would race — see assign_home.
-  void set_thread_safe() {
-    twin_pool_.set_thread_safe(true);
-    parallel_ = true;
-  }
-
   /// The authoritative home-copy data (creating it if untouched).
   std::span<std::byte> home_data(PageId p);
 
@@ -122,7 +114,6 @@ class AddressSpace {
 
   int nodes_;
   std::uint32_t page_bytes_;
-  bool parallel_ = false;  ///< PDES mode: first-touch homing disallowed
   GlobalAddr next_ = 0;
   std::vector<NodeId> homes_;  // per page; -1 = first-touch pending
   // Twin pool is declared before copies_: PageCopy::twin refs must die first.

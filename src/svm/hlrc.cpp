@@ -752,11 +752,9 @@ SvmAgent::LockProxy& SvmAgent::proxy(int lock) {
   if (!lp.init) {
     lp.init = true;
     // The home owns an untouched lock's token, so a non-home node starts
-    // without it — decided from home_of alone, WITHOUT reading the home
-    // state: `owner` belongs to the home's partition, and a node that has
-    // never touched this lock cannot be its owner anyway (a grant answers a
-    // kLockAcquire, which this proxy init precedes). The home's own read is
-    // partition-local.
+    // without it — decided from home_of alone, without reading the home
+    // state: a node that has never touched this lock cannot be its owner
+    // (a grant answers a kLockAcquire, which this proxy init precedes).
     lp.token = shared_->locks.home_of(lock) == self_ &&
                shared_->locks.state(lock).owner == self_;
   }

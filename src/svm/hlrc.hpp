@@ -51,18 +51,8 @@
 namespace svmsim::svm {
 
 /// Protocol state shared across all nodes of one machine (interval history,
-/// lock homes, barrier rendezvous). Object pools are NOT here: they are
-/// per-partition (svm/pools.hpp) so pooled Triggers schedule on the right
-/// simulator in PDES mode. The structures below are the simulator shortcuts
-/// of docs/design — in PDES mode they are the only mutable state reachable
-/// from several partitions, so each is internally synchronized (their
-/// *contents* stay deterministic because every cross-partition read is
-/// happens-before-ordered behind a message that took >= the lookahead to
-/// arrive; see docs/engine.md, "PDES mode").
-///
-/// The hub's simulator must be the partition-0 simulator: the barrier
-/// manager is node 0, which the contiguous partition map always places in
-/// partition 0.
+/// lock homes, barrier rendezvous): the simulator shortcuts of docs/design.
+/// Object pools live next to it in svm/pools.hpp.
 struct SharedState {
   SharedState(engine::Simulator& sim, int nodes, int max_locks)
       : dir(nodes), locks(nodes, max_locks), hub(sim, nodes) {}

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "engine/ring_queue.hpp"
@@ -30,11 +29,9 @@
 namespace svmsim::svm {
 
 struct LockHomeState {
-  /// Node currently holding the token. Written under the growth mutex at
-  /// slot creation (to the home), then only ever from the home node's
-  /// partition; read from the home's partition (every home handler first
-  /// re-enters state(), whose mutex orders it after creation) — non-home
-  /// nodes must not read it (SvmAgent::proxy short-circuits on home_of).
+  /// Node currently holding the token. Set to the home at slot creation,
+  /// then written only by the home's handlers; non-home nodes must not read
+  /// it (SvmAgent::proxy short-circuits on home_of).
   NodeId owner = -1;
   bool recall_sent = false; ///< a recall to `owner` is outstanding
   engine::RingQueue<net::Message> waiters;  ///< queued kLockAcquire requests
@@ -50,19 +47,11 @@ class LockDirectory {
   [[nodiscard]] NodeId home_of(int lock) const { return lock % nodes_; }
 
   [[nodiscard]] LockHomeState& state(int lock) {
-    // Any partition may touch any lock home (a local acquire reads the
-    // token's release timestamp directly — the simulator shortcut in the
-    // file comment), so lazy growth is serialized. References stay stable
-    // across growth (deque), and the *fields* of a slot need no lock: every
-    // cross-partition read is ordered behind the token's travel, which in
-    // PDES mode means at least one full lookahead window of separation.
-    const std::lock_guard<std::mutex> g(grow_mu_);
+    // References stay stable across growth (deque).
     while (locks_.size() <= static_cast<std::size_t>(lock)) {
       locks_.emplace_back();
       locks_.back().vc = VClock(nodes_);
-      // The home owns an untouched token. Initialized here, inside the
-      // growth lock, so no slot is ever visible with owner unset and the
-      // only later writers are the home's own handlers (one partition).
+      // The home owns an untouched token.
       locks_.back().owner = home_of(static_cast<int>(locks_.size()) - 1);
     }
     return locks_[static_cast<std::size_t>(lock)];
@@ -71,7 +60,6 @@ class LockDirectory {
  private:
   int nodes_;
   int max_locks_;
-  mutable std::mutex grow_mu_;       // guards lazy growth of locks_
   std::deque<LockHomeState> locks_;  // lazily grown; stable references
 };
 

@@ -7,7 +7,6 @@ namespace svmsim::svm {
 void PageDirectory::record_interval(NodeId n, std::uint32_t index,
                                     std::span<const PageId> pages) {
   auto& l = log_[static_cast<std::size_t>(n)];
-  const std::lock_guard<std::mutex> g(l.mu);
   assert(index == l.ends.size() + 1 && "intervals must be recorded in order");
   (void)index;
   l.pages.insert(l.pages.end(), pages.begin(), pages.end());
@@ -23,8 +22,7 @@ std::uint64_t PageDirectory::collect_notices(
     const std::uint32_t from = have.get(n);
     const std::uint32_t to = target.get(n);
     if (from >= to) continue;
-    const std::lock_guard<std::mutex> g(l.mu);
-    const std::uint32_t lo = begin_of(l, from);
+      const std::uint32_t lo = begin_of(l, from);
     const std::uint32_t hi = l.ends[to - 1];
     for (std::uint32_t i = lo; i < hi; ++i) {
       fn(l.pages[i], n);
@@ -42,8 +40,7 @@ std::uint64_t PageDirectory::count_notices(const VClock& have,
     const std::uint32_t from = have.get(n);
     const std::uint32_t to = target.get(n);
     if (from >= to) continue;
-    const std::lock_guard<std::mutex> g(l.mu);
-    count += l.ends[to - 1] - begin_of(l, from);
+      count += l.ends[to - 1] - begin_of(l, from);
   }
   return count;
 }

@@ -1,12 +1,8 @@
-// Per-partition protocol pools: every recyclable object the hot path needs.
+// Protocol pools: every recyclable object the hot path needs.
 //
-// The Machine owns one ProtocolPools per simulation partition (one total in
-// serial mode), declared before every structure that can hold references
-// into it, so the pools outlive all PoolRefs (see docs/memory.md for the
-// full ownership rules). Pools are per-partition rather than per-machine
-// because pooled Triggers must schedule on their partition's simulator; the
-// object pools additionally take their freelist locks in PDES mode, since
-// message bodies drop their last reference on the receiving partition.
+// The Machine owns one ProtocolPools, declared before every structure that
+// can hold references into it, so the pools outlive all PoolRefs (see
+// docs/memory.md for the full ownership rules).
 #pragma once
 
 #include "core/pool.hpp"
@@ -17,17 +13,6 @@ namespace svmsim::svm {
 
 struct ProtocolPools {
   explicit ProtocolPools(engine::Simulator& sim) : triggers(sim) {}
-
-  /// PDES wiring: message bodies drawn from these pools cross partitions
-  /// and recycle on the receiving thread. Triggers stay partition-local
-  /// (acquired and released only by the owning agent's thread), so the
-  /// trigger pool needs no lock.
-  void set_thread_safe() {
-    vclocks.set_thread_safe(true);
-    buffers.set_thread_safe(true);
-    diff_batches.set_thread_safe(true);
-    clock_deltas.set_thread_safe(true);
-  }
 
   core::ObjectPool<VClockBody> vclocks;
   core::ObjectPool<core::PooledBytes> buffers;

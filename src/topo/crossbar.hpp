@@ -15,15 +15,8 @@ namespace svmsim::topo {
 
 class Crossbar final : public Topology {
  public:
-  explicit Crossbar(const ArchParams& arch) noexcept : Topology(arch) {
-    // The legacy lookahead floor, verbatim (net::Network::min_latency):
-    // wire latency plus the packet header's serialization at link bandwidth.
-    const auto min_serialization =
-        static_cast<Cycles>(static_cast<double>(arch.packet_header_bytes) /
-                            arch.link_bytes_per_cycle);
-    const Cycles floor = arch.wire_latency_cycles + min_serialization;
-    min_latency_ = floor > 0 ? floor : 1;
-  }
+  Crossbar(const ArchParams& arch, engine::Simulator& sim) noexcept
+      : Topology(arch, sim) {}
 
   [[nodiscard]] const char* name() const noexcept override {
     return "crossbar";

@@ -5,9 +5,9 @@
 
 namespace svmsim::topo {
 
-FatTree::FatTree(const ArchParams& arch, int nodes, int k,
-                 const SimOfNode& sim_of_node)
-    : Topology(arch), nodes_(nodes), k_(k), half_(k / 2),
+FatTree::FatTree(const ArchParams& arch, engine::Simulator& sim, int nodes,
+                 int k)
+    : Topology(arch, sim), nodes_(nodes), k_(k), half_(k / 2),
       pod_hosts_(half_ * half_) {
   const int capacity = k * pod_hosts_;  // k pods x (k/2)^2 hosts = k^3/4
   if (nodes < 1 || nodes > capacity) {
@@ -17,11 +17,9 @@ FatTree::FatTree(const ArchParams& arch, int nodes, int k,
   }
   const int hosts = capacity;
   const int switches = half_;  // per tier per pod
-  // A link's owner partition serves it: keep each link owned by a host it
-  // is "near" (the host itself, or the first host under the switch) so
-  // most hops of a partition-local route stay partition-local. Owners for
-  // slots past the populated hosts wrap modulo nodes_ — any fixed
-  // assignment is correct, ownership only picks the serving thread.
+  // Each link is attributed to a host it is "near" (the host itself, or
+  // the first host under the switch) in the per-link occupancy rows.
+  // Owners for slots past the populated hosts wrap modulo nodes_.
   const auto owner_of = [this](int host) -> NodeId {
     return static_cast<NodeId>(host % nodes_);
   };
@@ -31,9 +29,9 @@ FatTree::FatTree(const ArchParams& arch, int nodes, int k,
   for (int h = 0; h < hosts; ++h) {
     const NodeId o = owner_of(h);
     host_up_[static_cast<std::size_t>(h)] =
-        add_link(sim_of_node(o), o, LinkKind::kInject);
+        add_link(o, LinkKind::kInject);
     host_down_[static_cast<std::size_t>(h)] =
-        add_link(sim_of_node(o), o, LinkKind::kEject);
+        add_link(o, LinkKind::kEject);
   }
 
   edge_up_.resize(static_cast<std::size_t>(k * switches * half_));
@@ -45,7 +43,7 @@ FatTree::FatTree(const ArchParams& arch, int nodes, int k,
       const NodeId edge_owner = owner_of(pod * pod_hosts_ + e * half_);
       for (int a = 0; a < half_; ++a) {
         edge_up_[static_cast<std::size_t>((pod * half_ + e) * half_ + a)] =
-            add_link(sim_of_node(edge_owner), edge_owner, LinkKind::kUp);
+            add_link(edge_owner, LinkKind::kUp);
       }
     }
     const NodeId pod_owner = owner_of(pod * pod_hosts_);
@@ -54,11 +52,11 @@ FatTree::FatTree(const ArchParams& arch, int nodes, int k,
         // Down links are owned near their target edge switch.
         const NodeId o = owner_of(pod * pod_hosts_ + e * half_);
         aggr_down_[static_cast<std::size_t>((pod * half_ + a) * half_ + e)] =
-            add_link(sim_of_node(o), o, LinkKind::kDown);
+            add_link(o, LinkKind::kDown);
       }
       for (int ci = 0; ci < half_; ++ci) {
         aggr_up_[static_cast<std::size_t>((pod * half_ + a) * half_ + ci)] =
-            add_link(sim_of_node(pod_owner), pod_owner, LinkKind::kUp);
+            add_link(pod_owner, LinkKind::kUp);
       }
     }
   }
@@ -69,11 +67,9 @@ FatTree::FatTree(const ArchParams& arch, int nodes, int k,
     for (int pod = 0; pod < k; ++pod) {
       const NodeId o = owner_of(pod * pod_hosts_);  // toward the target pod
       core_down_[static_cast<std::size_t>(c * k_ + pod)] =
-          add_link(sim_of_node(o), o, LinkKind::kDown);
+          add_link(o, LinkKind::kDown);
     }
   }
-
-  seal_links();
 }
 
 void FatTree::route(NodeId src, NodeId dst, RouteBuf& out) const noexcept {

@@ -12,14 +12,10 @@
 //
 // Contract (docs/topology.md):
 //  - route() is a pure function of (src, dst): same pair, same link
-//    sequence, every call, on every thread. This is what makes the PDES
-//    replay of a contended network deterministic — link state is only ever
-//    touched by its owner partition, in wire-band (time, key) order.
-//  - Every link's owner names the node whose partition serves the link.
-//  - min_latency() is the analytic minimum advance of a single hop
-//    (latency + header serialization over the fastest link class) and is
-//    the PDES lookahead floor: a hop event firing at t schedules its
-//    successor no earlier than t + min_latency().
+//    sequence, every call. Link state is touched only by hop events, in
+//    wire-band (time, key) order, so a contended run is deterministic.
+//  - Every link's owner names the node it is attributed to in the per-link
+//    occupancy rows (a host the link is near).
 //  - contended() == false (the Crossbar backend) short-circuits
 //    Network::transmit back onto the byte-identical legacy path.
 #pragma once
@@ -27,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -57,7 +52,7 @@ using LinkId = std::uint32_t;
 /// tallies feed the per-link occupancy rows of Stats.
 struct Link {
   engine::Resource server;
-  NodeId owner;            ///< node whose partition serves this link
+  NodeId owner;            ///< node the link is attributed to
   Cycles latency;          ///< propagation delay after serialization
   double bytes_per_cycle;  ///< serialization bandwidth
   LinkKind kind;
@@ -72,11 +67,6 @@ struct Link {
         bytes_per_cycle(bw),
         kind(k) {}
 };
-
-/// Which partition simulator owns a node — the Machine curries its
-/// partition mapping through this when constructing a backend, so each
-/// link's Resource is bound to the owner partition's clock.
-using SimOfNode = std::function<engine::Simulator&(NodeId)>;
 
 class Topology {
  public:
@@ -108,9 +98,6 @@ class Topology {
   /// False only for the Crossbar backend (no links, legacy transmit path).
   [[nodiscard]] virtual bool contended() const noexcept { return true; }
 
-  /// Analytic PDES lookahead floor; see the header comment.
-  [[nodiscard]] Cycles min_latency() const noexcept { return min_latency_; }
-
   [[nodiscard]] std::size_t link_count() const noexcept {
     return links_.size();
   }
@@ -120,17 +107,15 @@ class Topology {
   }
 
  protected:
-  explicit Topology(const ArchParams& arch) noexcept : arch_(&arch) {}
+  Topology(const ArchParams& arch, engine::Simulator& sim) noexcept
+      : arch_(&arch), sim_(&sim) {}
 
   /// Register one directed link of the given class; returns its id.
-  LinkId add_link(engine::Simulator& sim, NodeId owner, LinkKind kind);
-  /// Compute min_latency_ over the registered links. Every contended
-  /// backend's constructor ends with this.
-  void seal_links() noexcept;
+  LinkId add_link(NodeId owner, LinkKind kind);
 
   const ArchParams* arch_;
+  engine::Simulator* sim_;  ///< clock of every link's Resource
   std::deque<Link> links_;  // deque: Resource addresses must be stable
-  Cycles min_latency_ = 1;
 };
 
 /// Whether `spec` can host a cluster of `nodes` nodes: fat tree capacity is
@@ -143,6 +128,6 @@ class Topology {
 /// check topo::fits first — see bench_common).
 [[nodiscard]] std::unique_ptr<Topology> make_topology(
     const Spec& spec, const ArchParams& arch, int nodes,
-    const SimOfNode& sim_of_node);
+    engine::Simulator& sim);
 
 }  // namespace svmsim::topo

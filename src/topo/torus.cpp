@@ -5,9 +5,9 @@
 
 namespace svmsim::topo {
 
-Torus::Torus(const ArchParams& arch, int nodes, std::array<int, 3> dims,
-             const SimOfNode& sim_of_node)
-    : Topology(arch), dims_(dims) {
+Torus::Torus(const ArchParams& arch, engine::Simulator& sim, int nodes,
+             std::array<int, 3> dims)
+    : Topology(arch, sim), dims_(dims) {
   if (dims_[2] <= 0) dims_[2] = 1;
   ndims_ = dims_[2] > 1 ? 3 : 2;
   stride_ = 2 + 2 * ndims_;
@@ -28,15 +28,13 @@ Torus::Torus(const ArchParams& arch, int nodes, std::array<int, 3> dims,
   }
 
   for (int n = 0; n < nodes; ++n) {
-    engine::Simulator& sim = sim_of_node(n);
-    add_link(sim, n, LinkKind::kInject);
-    add_link(sim, n, LinkKind::kEject);
+    add_link(n, LinkKind::kInject);
+    add_link(n, LinkKind::kEject);
     for (int d = 0; d < ndims_; ++d) {
-      add_link(sim, n, LinkKind::kRing);  // +direction out of n
-      add_link(sim, n, LinkKind::kRing);  // -direction out of n
+      add_link(n, LinkKind::kRing);  // +direction out of n
+      add_link(n, LinkKind::kRing);  // -direction out of n
     }
   }
-  seal_links();
 }
 
 void Torus::route(NodeId src, NodeId dst, RouteBuf& out) const noexcept {

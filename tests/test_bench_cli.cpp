@@ -1,9 +1,8 @@
-// CLI-layer tests for the shared bench option parser (bench_common): the
-// --trace / --par-cores conflict must terminate with its own exit code
-// (kExitTracedParallel) and a diagnostic naming both flags and the docs,
-// and --pdes-window must parse, default, reject, and propagate into every
-// sweep point. Exit codes are part of the contract — scripts branch on
-// them — so the failure paths are exercised as death/exit tests.
+// CLI-layer tests for the shared bench option parser (bench_common): bad
+// cluster sizes, topologies and architecture overrides, and failing sweep
+// points, must each terminate with their own exit code and a diagnostic.
+// Exit codes are part of the contract — scripts branch on them — so the
+// failure paths are exercised as death/exit tests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,30 +24,13 @@ Options parse(std::vector<std::string> args) {
   return Options::parse(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(BenchCliDeathTest, TracedParallelExitsWithDistinctCode) {
-  EXPECT_EXIT(parse({"--trace=/tmp/t.bin", "--par-cores=4"}),
-              ::testing::ExitedWithCode(kExitTracedParallel),
-              "--trace cannot be combined with --par-cores=4");
-}
-
-TEST(BenchCliDeathTest, TracedParallelDiagnosticPointsAtDocs) {
-  EXPECT_EXIT(parse({"--trace=/tmp/t.bin", "--par-cores=2"}),
-              ::testing::ExitedWithCode(kExitTracedParallel),
-              "docs/tracing.md");
-}
-
-TEST(BenchCliDeathTest, UnknownWindowPolicyExitsWithUsageCode) {
-  EXPECT_EXIT(parse({"--pdes-window=bogus"}), ::testing::ExitedWithCode(2),
-              "pdes-window");
-}
-
 TEST(BenchCliDeathTest, ZeroProcsExitsWithBadProcsCode) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", 0, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", 0, 4),
               ::testing::ExitedWithCode(kExitBadProcs), "out of range");
 }
 
 TEST(BenchCliDeathTest, NegativeProcsExitsWithBadProcsCode) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", -8, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", -8, 4),
               ::testing::ExitedWithCode(kExitBadProcs), "out of range");
 }
 
@@ -59,42 +41,37 @@ TEST(BenchCliDeathTest, OverMaxProcsExitsWithBadProcsCode) {
 }
 
 TEST(BenchCliDeathTest, IndivisibleProcsNamesFlagAndDivisor) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", 10, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", 10, 4),
               ::testing::ExitedWithCode(kExitBadProcs),
-              "--pdes-procs=10 is not a multiple of procs_per_node=4");
+              "--procs=10 is not a multiple of procs_per_node=4");
 }
 
 TEST(BenchCli, ValidProcsPassThrough) {
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", 256, 4), 256);
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", 4, 4), 4);
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", kMaxTotalProcs,
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", 256, 4), 256);
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", 4, 4), 4);
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", kMaxTotalProcs,
                                 4),
             kMaxTotalProcs);
 }
 
-TEST(BenchCli, WindowPolicyFlagParses) {
-  EXPECT_EQ(parse({"--pdes-window=fixed"}).pdes_window, WindowPolicy::kFixed);
-  EXPECT_EQ(parse({"--pdes-window=adaptive"}).pdes_window,
-            WindowPolicy::kAdaptive);
-  // Unset: the build's compiled-in default (SVMSIM_PDES_WINDOW).
-  EXPECT_EQ(parse({}).pdes_window, SimConfig{}.pdes_window);
-}
-
-TEST(BenchCli, TraceAloneAndParCoresAloneAreAccepted) {
-  EXPECT_EQ(parse({"--par-cores=4"}).par_cores, 4);
+TEST(BenchCli, TraceFlagIsAccepted) {
   EXPECT_TRUE(parse({"--trace=/tmp/t.bin"}).trace.enabled);
 }
 
-TEST(BenchCli, SweepPointsCarryParCoresAndWindowPolicy) {
-  auto opt = parse({"--par-cores=2", "--pdes-window=fixed", "--apps=fft"});
-  auto pts = suite_points({0.0}, [](SimConfig&, double) {}, opt);
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].cfg.par_cores, 2);
-  EXPECT_EQ(pts[0].cfg.pdes_window, WindowPolicy::kFixed);
+// A failing sweep point (here a configuration the Machine rejects) names
+// the binary, app and param=value, and exits 1 instead of terminating.
+TEST(BenchCliDeathTest, FailingSweepPointNamesItselfAndExitsOne) {
+  const Options opt = parse({"--apps=fft"});
+  SimConfig cfg = base_config();
+  cfg.comm.procs_per_node = 3;  // 16 processors do not split into nodes of 3
+  harness::Sweep sweep(apps::Scale::kTiny);
+  EXPECT_EXIT(run_points(sweep, {{"fft", cfg, 2000}}, opt, "host_overhead"),
+              ::testing::ExitedWithCode(1),
+              "bench_test: fft host_overhead=2000: .*procs_per_node");
 }
 
 // ---- --topology (src/topo/): malformed or unfitting specs must exit with
-// kExitBadTopology, distinct from 2/3/4, because the equivalence scripts
+// kExitBadTopology, distinct from 2/4, because the equivalence scripts
 // branch on it. ----
 
 TEST(BenchCliDeathTest, ZeroTorusExtentExitsWithBadTopologyCode) {

@@ -230,14 +230,6 @@ TEST(Replay, DivergentScheduleThrows) {
   EXPECT_THROW((void)ex.run_schedule(base), std::runtime_error);
 }
 
-TEST(Replay, ParallelConfigRejected) {
-  SimConfig cfg = tiny_config();
-  cfg.comm.total_procs = 4;
-  cfg.par_cores = 2;
-  Explorer ex("stress-micro@1", apps::Scale::kTiny, cfg, ExploreConfig{});
-  EXPECT_THROW((void)ex.run_schedule({}), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // Exhaustive exploration of the canonical tiny config
 // ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-// Harness utilities: CLI parsing and table/CSV formatting.
+// Harness utilities: CLI parsing, table/CSV formatting and sweep failure
+// reporting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/report.hpp"
@@ -144,6 +147,29 @@ TEST(Fmt, Precision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(3.14159, 0), "3");
   EXPECT_EQ(fmt(-0.5, 1), "-0.5");
+}
+
+// A failing point of a run_points batch surfaces as a PointError naming
+// its app and swept value, not as the bare reason of the underlying run.
+TEST(Sweep, FailingPointNamesAppAndValue) {
+  SimConfig good;
+  SimConfig bad;
+  bad.comm.procs_per_node = 3;  // 16 processors do not split into nodes of 3
+  const std::vector<SweepPoint> points{{"fft", good, 0}, {"fft", bad, 2000}};
+  for (unsigned jobs : {1u, 2u}) {
+    Sweep sweep(apps::Scale::kTiny);
+    JobPool pool(jobs);
+    try {
+      (void)sweep.run_points(points, &pool);
+      ADD_FAILURE() << "the rejected point did not fail the batch";
+    } catch (const PointError& e) {
+      EXPECT_EQ(e.app(), "fft");
+      EXPECT_EQ(e.value(), 2000.0);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fft param=2000: "), std::string::npos) << what;
+      EXPECT_NE(what.find("procs_per_node"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -121,5 +121,20 @@ TEST(Task, MoveTransfersOwnership) {
   EXPECT_EQ(out, 7);
 }
 
+TEST(FrameRegistry, ScopedRegistryNestsAndRestores) {
+  FrameRegistry a, b;
+  EXPECT_EQ(FrameRegistry::current_slot(), nullptr);
+  {
+    ScopedFrameRegistry sa(a);
+    EXPECT_EQ(&FrameRegistry::current(), &a);
+    {
+      ScopedFrameRegistry sb(b);
+      EXPECT_EQ(&FrameRegistry::current(), &b);
+    }
+    EXPECT_EQ(&FrameRegistry::current(), &a);
+  }
+  EXPECT_EQ(FrameRegistry::current_slot(), nullptr);
+}
+
 }  // namespace
 }  // namespace svmsim::engine

@@ -10,11 +10,11 @@
 #   pooled protocol hot path surface as real heap-use-after-free reports
 #   instead of being masked by recycling.
 #
-# * thread — TSan over the parallel-mode subset: the tests that spawn real
-#   threads (PDES partitions, job pools, cross-thread channels) plus a
-#   sweep_dump --par-cores=4 run, i.e. the race-detector pass the PDES mode
-#   makes mandatory. The serial tests add nothing under TSan and triple the
-#   wall time, so they are skipped.
+# * thread — TSan over what is still threaded: the --jobs pool and the
+#   sweeps that fan simulation points out across it (each point is one
+#   single-threaded Machine), plus a checked fig05 run at --jobs=4. The
+#   serial tests add nothing under TSan and triple the wall time, so they
+#   are skipped.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -49,26 +49,15 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 ulimit -s unlimited 2>/dev/null || ulimit -s 1048576 || true
 
 if [ "$mode" = "thread" ]; then
-  # The threaded subset: PDES partitioning and channels, the --jobs pool,
-  # the machine/runner teardown paths they stress, and the PageDirectory
-  # 256-node growth-under-concurrent-scans test (docs/scaling.md).
+  # The threaded subset: the --jobs pool, the sweep harness that fans
+  # points out across it, and the per-point machine/runner paths it runs
+  # concurrently.
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'test_(partition|ring_queue|job_pool|determinism|machine|page_directory)' \
-    "$@"
-  # Whole-binary PDES pass: every sweep point on 4 partition workers, with
-  # the checker's cross-thread hooks enabled (exit 1 on any violation), under
-  # both the adaptive (default) window policy and the fixed fallback — the
-  # combining barrier and the batched channels must be race-free either way.
-  "$build_dir/bench/sweep_dump" --par-cores=4 --check-consistency > /dev/null
-  "$build_dir/bench/sweep_dump" --par-cores=4 --pdes-window=fixed \
-    --check-consistency > /dev/null
-  # Large-machine stress point: the sparse clock transport's pooled delta
-  # bodies cross partition threads at 64 nodes here, not just at the
-  # paper's 4 — encode/expand and the edge caches must be race-free too.
-  "$build_dir/bench/sweep_dump" --apps=stress-gen@3 --procs=256 \
-    --par-cores=4 > /dev/null
-  echo "sanitize.sh: TSan arm passed (subset + sweep_dump --par-cores=4," \
-    "adaptive and fixed windows, + 256-proc stress point)"
+    -R 'test_(job_pool|determinism|machine|harness)' "$@"
+  # Whole-binary pass: a checked figure sweep with four points in flight.
+  "$build_dir/bench/fig05_host_overhead" --scale=tiny --jobs=4 \
+    --apps=fft,lu --check-consistency > /dev/null
+  echo "sanitize.sh: TSan arm passed (threaded subset + fig05 --jobs=4)"
 else
   ctest --test-dir "$build_dir" --output-on-failure "$@"
   # Large-machine stress point under ASan/UBSan with paranoid pools: every

@@ -1,26 +1,22 @@
 #!/usr/bin/env bash
-# Prove the topology layer's two contracts (docs/topology.md):
+# Prove the topology layer's contracts (docs/topology.md):
 #
 # 1. The crossbar backend is observationally inert: sweep_dump with
-#    --topology=crossbar must be byte-identical to the legacy default —
-#    serially and at --par-cores=4 — across both protocols, two real apps
-#    and a stress-gen seed. The backend routes every packet through the
-#    topology dispatch but computes the legacy latency formula verbatim, so
-#    any divergence means the dispatch itself perturbed the model.
+#    --topology=crossbar must be byte-identical to the legacy default
+#    across both protocols, two real apps and a stress-gen seed. The
+#    backend routes every packet through the topology dispatch but
+#    computes the legacy latency formula verbatim, so any divergence means
+#    the dispatch itself perturbed the model.
 #
-# 2. Contended topologies keep the PDES determinism contract: fat-tree and
-#    torus dumps at 64 processors (16 nodes) — including the per-link
-#    occupancy lines (grants/busy/wait/bytes per physical link) — must be
-#    byte-identical between serial and --par-cores=4. Hop events fire on
-#    the partitions owning their links, so this checks cross-partition
-#    event ordering through multi-hop routes, not just final deliveries.
+# 2. Contended topologies report their links: fat-tree and torus dumps at
+#    64 processors (16 nodes) must carry the per-link occupancy lines
+#    (grants/busy/wait/bytes per physical link).
 #
 #   tools/topology_equivalence.sh <build_dir>
 #
 #   build_dir   an already-built default tree
 set -euo pipefail
 
-repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:?usage: topology_equivalence.sh <build_dir>}"
 
 out_dir="$build_dir/topology-equivalence"
@@ -28,39 +24,26 @@ mkdir -p "$out_dir"
 
 apps="fft,lu,stress-gen@3"
 
-# Arm 1: crossbar == legacy, byte for byte, serial and parallel.
+# Arm 1: crossbar == legacy, byte for byte.
 "$build_dir/bench/sweep_dump" --apps="$apps" > "$out_dir/dump-legacy.txt"
-for cores in 1 4; do
-  "$build_dir/bench/sweep_dump" --apps="$apps" --topology=crossbar \
-    --par-cores="$cores" > "$out_dir/dump-crossbar-par$cores.txt"
-  if ! diff -u "$out_dir/dump-legacy.txt" \
-       "$out_dir/dump-crossbar-par$cores.txt"; then
-    echo "topology_equivalence: legacy vs --topology=crossbar" \
-      "--par-cores=$cores DIVERGES" >&2
-    exit 1
-  fi
-done
+"$build_dir/bench/sweep_dump" --apps="$apps" --topology=crossbar \
+  > "$out_dir/dump-crossbar.txt"
+if ! diff -u "$out_dir/dump-legacy.txt" "$out_dir/dump-crossbar.txt"; then
+  echo "topology_equivalence: legacy vs --topology=crossbar DIVERGES" >&2
+  exit 1
+fi
 
-# Arm 2: contended topologies, serial vs --par-cores=4 at 64 procs. The
-# dumps carry one line per physical link, so the diff also proves per-hop
-# link state replays identically from four partition threads.
+# Arm 2: contended topologies at 64 procs carry one line per physical link.
 for topo in fattree:4 torus:4x4; do
   tag="${topo//:/-}"
   "$build_dir/bench/sweep_dump" --apps=stress-gen@3 --procs=64 \
-    --topology="$topo" > "$out_dir/dump-$tag-serial.txt"
-  "$build_dir/bench/sweep_dump" --apps=stress-gen@3 --procs=64 \
-    --topology="$topo" --par-cores=4 > "$out_dir/dump-$tag-par4.txt"
-  if ! diff -u "$out_dir/dump-$tag-serial.txt" "$out_dir/dump-$tag-par4.txt"
-  then
-    echo "topology_equivalence: $topo serial vs --par-cores=4 DIVERGES" >&2
-    exit 1
-  fi
-  if ! grep -q '^  link' "$out_dir/dump-$tag-serial.txt"; then
+    --topology="$topo" > "$out_dir/dump-$tag.txt"
+  if ! grep -q '^  link' "$out_dir/dump-$tag.txt"; then
     echo "topology_equivalence: $topo dump carries no per-link lines" >&2
     exit 1
   fi
 done
 
-echo "topology_equivalence: crossbar == legacy (serial, par4);" \
-  "fattree:4 and torus:4x4 serial == par4" \
+echo "topology_equivalence: crossbar == legacy;" \
+  "fattree:4 and torus:4x4 carry per-link lines" \
   "($(wc -l < "$out_dir/dump-legacy.txt") legacy lines identical)"
