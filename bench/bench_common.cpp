@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -158,6 +159,115 @@ std::vector<harness::AppRun> run_points(
                  e.reason().c_str());
     std::exit(1);
   }
+}
+
+namespace {
+
+/// printf onto the end of `out`.
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  va_list ap;
+  va_list again;
+  va_start(ap, fmt);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
+  va_end(ap);
+}
+
+}  // namespace
+
+SweepDump sweep_dump(const SimConfig& base,
+                     const std::vector<std::string>& apps) {
+  std::vector<harness::SweepPoint> points;
+  for (Protocol proto : {Protocol::kHLRC, Protocol::kAURC}) {
+    for (const std::string& app : apps) {
+      for (double overhead : {0.0, 1000.0}) {
+        SimConfig cfg = base;
+        cfg.comm.protocol = proto;
+        cfg.comm.host_overhead = static_cast<Cycles>(overhead);
+        points.push_back({app, cfg, overhead});
+      }
+    }
+  }
+
+  harness::Sweep sweep(apps::Scale::kTiny);
+  const auto runs = sweep.run_points(points);
+
+  SweepDump dump;
+  std::string& out = dump.text;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
+    const auto& cfg = points[i].cfg;
+    dump.violations += r.result.check_violations;
+    appendf(out, "%s proto=%s host_overhead=%llu\n", r.app.c_str(),
+            cfg.comm.protocol == Protocol::kAURC ? "aurc" : "hlrc",
+            static_cast<unsigned long long>(cfg.comm.host_overhead));
+    appendf(out, "  time=%llu events=%llu validated=%d uniprocessor=%llu\n",
+            static_cast<unsigned long long>(r.result.time),
+            static_cast<unsigned long long>(r.result.events),
+            r.result.validated ? 1 : 0,
+            static_cast<unsigned long long>(r.uniprocessor));
+    const auto& st = r.result.stats;
+    for (int p = 0; p < st.procs(); ++p) {
+      appendf(out, "  proc%d:", p);
+      for (int c = 0; c < kTimeCats; ++c) {
+        appendf(out, " %llu", static_cast<unsigned long long>(
+                                  st.proc(p).t[static_cast<std::size_t>(c)]));
+      }
+      out += '\n';
+    }
+    const auto& k = st.counters();
+    appendf(
+        out,
+        "  faults=%llu/%llu/%llu fetches=%llu locks=%llu/%llu barriers=%llu\n",
+        static_cast<unsigned long long>(k.page_faults),
+        static_cast<unsigned long long>(k.read_faults),
+        static_cast<unsigned long long>(k.write_faults),
+        static_cast<unsigned long long>(k.page_fetches),
+        static_cast<unsigned long long>(k.local_lock_acquires),
+        static_cast<unsigned long long>(k.remote_lock_acquires),
+        static_cast<unsigned long long>(k.barriers));
+    appendf(out,
+            "  msgs=%llu packets=%llu bytes=%llu interrupts=%llu "
+            "polled=%llu\n",
+            static_cast<unsigned long long>(k.messages_sent),
+            static_cast<unsigned long long>(k.packets_sent),
+            static_cast<unsigned long long>(k.bytes_sent),
+            static_cast<unsigned long long>(k.interrupts),
+            static_cast<unsigned long long>(k.polled_requests));
+    appendf(out,
+            "  twins=%llu diffs=%llu diff_bytes=%llu notices=%llu "
+            "invals=%llu updates=%llu update_bytes=%llu overflows=%llu\n",
+            static_cast<unsigned long long>(k.twins_created),
+            static_cast<unsigned long long>(k.diffs_created),
+            static_cast<unsigned long long>(k.diff_bytes),
+            static_cast<unsigned long long>(k.write_notices),
+            static_cast<unsigned long long>(k.invalidations),
+            static_cast<unsigned long long>(k.updates_sent),
+            static_cast<unsigned long long>(k.update_bytes),
+            static_cast<unsigned long long>(k.ni_queue_overflows));
+    // Contended-topology runs only (empty otherwise): one line per physical
+    // link, so a diff also covers per-link occupancy state.
+    for (const auto& l : st.links()) {
+      appendf(out,
+              "  link%d owner=%d kind=%d grants=%llu busy=%llu wait=%llu "
+              "bytes=%llu\n",
+              l.id, l.owner, static_cast<int>(l.kind),
+              static_cast<unsigned long long>(l.grants),
+              static_cast<unsigned long long>(l.busy),
+              static_cast<unsigned long long>(l.wait),
+              static_cast<unsigned long long>(l.bytes));
+    }
+  }
+  return dump;
 }
 
 std::vector<std::vector<harness::AppRun>> run_figure(

@@ -25,6 +25,7 @@
 // prints the binary, app and param=value to stderr and exits 1.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -129,6 +130,27 @@ struct Options {
 std::vector<harness::AppRun> run_points(
     harness::Sweep& sweep, const std::vector<harness::SweepPoint>& points,
     const Options& opt, const std::string& param_name);
+
+/// The reference sweep behind bench/sweep_dump: one small fixed sweep per
+/// protocol (HLRC and AURC; `apps` x host overhead {0, 1000}, tiny scale)
+/// on `base`, run serially in this process. `text` is every observable of
+/// each run — execution time, events fired, validation flag, uniprocessor
+/// baseline, per-category time breakdown, the full counter set, and one
+/// "link" line per physical link on contended topologies — in a fixed,
+/// append-only format that is bit-reproducible, so two runs differing only
+/// in a toggle that must not perturb the simulation (the checker, the
+/// tracer, the crossbar topology) can be compared byte for byte.
+/// Consistency violations stay out of `text` and are summed into
+/// `violations`. A failing point throws harness::PointError.
+struct SweepDump {
+  std::string text;
+  std::uint64_t violations = 0;
+};
+inline const std::vector<std::string> kSweepDumpApps = {"fft", "lu",
+                                                        "stress-gen@3"};
+[[nodiscard]] SweepDump sweep_dump(
+    const SimConfig& base,
+    const std::vector<std::string>& apps = kSweepDumpApps);
 
 /// Run one parameter sweep over the whole suite and print the figure's
 /// series: one row per application, one speedup column per parameter value.

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/runner.hpp"
 
 namespace {
 
@@ -36,26 +35,25 @@ std::vector<std::string> breakdown_row(const std::string& app,
 int main(int argc, char** argv) {
   using namespace svmsim;
   auto opt = bench::Options::parse(argc, argv);
+  harness::Sweep sweep(opt.scale);
+
+  // best=0 is the achievable configuration, best=1 the best one.
+  const auto runs = bench::run_points(
+      sweep,
+      bench::suite_points(
+          {0, 1},
+          [](SimConfig& c, double best) {
+            if (best != 0) c.comm = CommParams::best();
+          },
+          opt),
+      opt, "best");
 
   harness::Table t({"application", "config", "compute", "mem", "data-wait",
                     "lock", "barrier", "handler", "protocol"});
-  for (const auto& app : opt.app_names) {
-    {
-      auto w = apps::make_app(app, opt.scale);
-      auto r = run(*w, bench::base_config());
-      t.add_row(breakdown_row(app, "achievable", r));
-    }
-    {
-      SimConfig best = bench::base_config();
-      best.comm = CommParams::best();
-      auto w = apps::make_app(app, opt.scale);
-      auto r = run(*w, best);
-      t.add_row(breakdown_row(app, "best", r));
-    }
-    std::fprintf(stderr, ".");
-    std::fflush(stderr);
+  for (const auto& run : runs) {
+    t.add_row(breakdown_row(run.app, run.param != 0 ? "best" : "achievable",
+                            run.result));
   }
-  std::fprintf(stderr, "\n");
   std::printf("== Extra (paper 7): execution-time breakdowns ==\n");
   t.print();
   harness::maybe_write_csv(t, opt.csv_dir, "extra_breakdowns");

@@ -1,6 +1,5 @@
-// Scheduler microbenchmark: event-queue throughput on synthetic delay
-// mixes, measured for both backends (the tiered scheduler and the original
-// binary heap — both are always compiled; see src/engine/event_queue.hpp).
+// Scheduler microbenchmark: engine::EventQueue (the tiered scheduler, see
+// src/engine/event_queue.hpp) throughput on synthetic delay mixes.
 //
 // Each measurement keeps a fixed number of events in flight: the queue is
 // seeded to the target depth and every fired event schedules one successor
@@ -36,7 +35,7 @@ namespace {
 using svmsim::Cycles;
 
 /// Deterministic split-output LCG (same constants as MMIX); good enough to
-/// decorrelate delays, and identical across backends by construction.
+/// decorrelate delays, and identical across runs by construction.
 struct Lcg {
   std::uint64_t s;
   std::uint64_t next() noexcept {
@@ -74,10 +73,9 @@ constexpr std::size_t kDepths[] = {16, 256, 4096};
 /// One self-perpetuating chain: seed `depth` events, then every fire
 /// schedules one successor until `fires` total events have been scheduled,
 /// after which the queue drains. Returns fires per wall-clock second.
-template <class Queue>
 double run_chain(const Scenario& sc, std::size_t depth, std::uint64_t fires) {
   struct Driver {
-    Queue q;
+    svmsim::engine::EventQueue q;
     Lcg rng;
     Cycles (*delay)(Lcg&);
     std::uint64_t remaining = 0;
@@ -95,7 +93,7 @@ double run_chain(const Scenario& sc, std::size_t depth, std::uint64_t fires) {
   };
 
   Driver drv;
-  drv.rng.s = 0x9e3779b97f4a7c15ull;  // fixed seed: identical across backends
+  drv.rng.s = 0x9e3779b97f4a7c15ull;  // fixed seed: identical across runs
   drv.delay = sc.delay;
   const std::uint64_t seed = fires < depth ? fires : depth;
   drv.remaining = fires;
@@ -127,23 +125,17 @@ int main(int argc, char** argv) {
 
   std::printf("== micro_event_queue: %llu fires per cell ==\n",
               static_cast<unsigned long long>(fires));
-  harness::Table t({"scenario", "depth", "tiered ev/s", "heap ev/s", "ratio"});
+  harness::Table t({"scenario", "depth", "ev/s"});
   std::ostringstream section;
   section << "\"micro_event_queue\": {\n    \"fires\": " << fires
           << ",\n    \"events_per_sec\": {";
   bool first = true;
   for (const auto& sc : kScenarios) {
     for (std::size_t depth : kDepths) {
-      const double tiered =
-          run_chain<engine::detail::TieredScheduler>(sc, depth, fires);
-      const double heap =
-          run_chain<engine::detail::HeapScheduler>(sc, depth, fires);
-      t.add_row({sc.name, std::to_string(depth), harness::fmt(tiered, 0),
-                 harness::fmt(heap, 0),
-                 harness::fmt(heap > 0 ? tiered / heap : 0.0, 2)});
+      const double eps = run_chain(sc, depth, fires);
+      t.add_row({sc.name, std::to_string(depth), harness::fmt(eps, 0)});
       section << (first ? "" : ",") << "\n      \"" << sc.name << "/d" << depth
-              << "\": {\"tiered\": " << tiered << ", \"heap\": " << heap
-              << "}";
+              << "\": " << eps;
       first = false;
     }
   }

@@ -1,34 +1,36 @@
-// Deterministic sweep dump for scheduler-equivalence checking.
+// Deterministic sweep dump: prints bench::sweep_dump() (bench_common.hpp)
+// for the given flags.
 //
-// Runs one small fixed sweep per protocol (HLRC and AURC; two apps, two
-// host-overhead points, tiny scale) and prints every observable of each run:
-// execution time, events fired, validation flag, uniprocessor baseline,
-// per-category time breakdown and the full protocol/communication counter
-// set. The output is bit-reproducible, so diffing it between two builds
-// (e.g. -DSVMSIM_SCHEDULER=tiered vs heap — see
-// tools/scheduler_equivalence.sh) proves the builds fire events in the same
-// (time, seq) order everywhere these protocols exercise the engine.
+// Runs one small fixed sweep per protocol (HLRC and AURC; two apps and a
+// stress-gen seed, two host-overhead points, tiny scale) and prints every
+// observable of each run: execution time, events fired, validation flag,
+// uniprocessor baseline, per-category time breakdown and the full
+// protocol/communication counter set. The output is bit-reproducible, so a
+// byte diff between two runs proves they fired events in the same order
+// everywhere these protocols exercise the engine. tests/test_inertness.cpp
+// runs the same sweep in-process: it pins the default dump to
+// tests/data/sweep_dump.golden and requires every runtime toggle below that
+// must not perturb the simulation to reproduce it byte for byte.
 //
 // With --check-consistency every run additionally carries the shadow
-// consistency checker (src/check/); the printed observables are unchanged —
-// that is exactly what tools/check_equivalence.sh verifies — but the process
-// exits 1 if any run reports a violation.
+// consistency checker (src/check/); the printed observables are unchanged,
+// but the process exits 1 if any run reports a violation. A run that fails
+// (validation, deadlock, a configuration an app rejects) prints
+// "sweep_dump: <app> param=<host overhead>: <reason>" and exits 1.
 //
 // With --apps=a,b,c the sweep is restricted to that comma list (any
 // apps::make_app name, including stress-gen@<seed>).
 //
 // With --procs=N every run simulates an N-processor cluster instead of the
 // paper's 16 (validated like every procs flag: exit 4 when out of range or
-// not a multiple of procs_per_node) — tools/topology_equivalence.sh uses
-// this for its 64-processor fat tree and torus runs.
+// not a multiple of procs_per_node).
 //
 // With --topology=<spec> every run uses that interconnect backend
-// (src/topo/). The crossbar backend must leave the dump byte-identical to
-// the legacy default — tools/topology_equivalence.sh diffs exactly that —
-// while fat tree / torus runs append one "link" line per physical link
-// (occupancy counters), whose presence the same script checks.
+// (src/topo/). The crossbar backend leaves the dump byte-identical to the
+// legacy default, while fat tree / torus runs append one "link" line per
+// physical link (occupancy counters).
 //
-// Keep the format append-only: the equivalence check compares byte-for-byte.
+// Keep the format append-only: the golden file compares byte for byte.
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -39,8 +41,7 @@ int main(int argc, char** argv) {
   using namespace svmsim;
 
   harness::Cli cli(argc, argv);
-  const bool check = cli.has("check-consistency");
-  std::vector<std::string> app_list = {"fft", "lu", "stress-gen@3"};
+  std::vector<std::string> app_list = bench::kSweepDumpApps;
   if (auto apps_arg = cli.get("apps")) {
     app_list.clear();
     std::stringstream ss(*apps_arg);
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
   }
 
   SimConfig base = bench::base_config();
+  base.check.enabled = cli.has("check-consistency");
   if (auto procs_arg = cli.get("procs")) {
     base.comm.total_procs = bench::checked_total_procs(
         argc > 0 ? argv[0] : "sweep_dump", "--procs",
@@ -69,91 +71,20 @@ int main(int argc, char** argv) {
                             base.comm.node_count());
   }
 
-  harness::Sweep sweep(apps::Scale::kTiny);
-
-  std::vector<harness::SweepPoint> points;
-  for (Protocol proto : {Protocol::kHLRC, Protocol::kAURC}) {
-    for (const std::string& app : app_list) {
-      for (double overhead : {0.0, 1000.0}) {
-        SimConfig cfg = base;
-        cfg.comm.protocol = proto;
-        cfg.comm.host_overhead = static_cast<Cycles>(overhead);
-        cfg.check.enabled = check;
-        points.push_back({app, cfg, overhead});
-      }
-    }
+  bench::SweepDump dump;
+  try {
+    dump = bench::sweep_dump(base, app_list);
+  } catch (const harness::PointError& e) {
+    std::fprintf(stderr, "sweep_dump: %s\n", e.what());
+    return 1;
   }
+  std::fwrite(dump.text.data(), 1, dump.text.size(), stdout);
 
-  const auto runs = sweep.run_points(points);
-
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& r = runs[i];
-    const auto& cfg = points[i].cfg;
-    std::printf("%s proto=%s host_overhead=%llu\n", r.app.c_str(),
-                cfg.comm.protocol == Protocol::kAURC ? "aurc" : "hlrc",
-                static_cast<unsigned long long>(cfg.comm.host_overhead));
-    std::printf("  time=%llu events=%llu validated=%d uniprocessor=%llu\n",
-                static_cast<unsigned long long>(r.result.time),
-                static_cast<unsigned long long>(r.result.events),
-                r.result.validated ? 1 : 0,
-                static_cast<unsigned long long>(r.uniprocessor));
-    const auto& st = r.result.stats;
-    for (int p = 0; p < st.procs(); ++p) {
-      std::printf("  proc%d:", p);
-      for (int c = 0; c < kTimeCats; ++c) {
-        std::printf(" %llu", static_cast<unsigned long long>(
-                                 st.proc(p).t[static_cast<std::size_t>(c)]));
-      }
-      std::printf("\n");
-    }
-    const auto& k = st.counters();
-    std::printf(
-        "  faults=%llu/%llu/%llu fetches=%llu locks=%llu/%llu barriers=%llu\n",
-        static_cast<unsigned long long>(k.page_faults),
-        static_cast<unsigned long long>(k.read_faults),
-        static_cast<unsigned long long>(k.write_faults),
-        static_cast<unsigned long long>(k.page_fetches),
-        static_cast<unsigned long long>(k.local_lock_acquires),
-        static_cast<unsigned long long>(k.remote_lock_acquires),
-        static_cast<unsigned long long>(k.barriers));
-    std::printf(
-        "  msgs=%llu packets=%llu bytes=%llu interrupts=%llu polled=%llu\n",
-        static_cast<unsigned long long>(k.messages_sent),
-        static_cast<unsigned long long>(k.packets_sent),
-        static_cast<unsigned long long>(k.bytes_sent),
-        static_cast<unsigned long long>(k.interrupts),
-        static_cast<unsigned long long>(k.polled_requests));
-    std::printf(
-        "  twins=%llu diffs=%llu diff_bytes=%llu notices=%llu invals=%llu "
-        "updates=%llu update_bytes=%llu overflows=%llu\n",
-        static_cast<unsigned long long>(k.twins_created),
-        static_cast<unsigned long long>(k.diffs_created),
-        static_cast<unsigned long long>(k.diff_bytes),
-        static_cast<unsigned long long>(k.write_notices),
-        static_cast<unsigned long long>(k.invalidations),
-        static_cast<unsigned long long>(k.updates_sent),
-        static_cast<unsigned long long>(k.update_bytes),
-        static_cast<unsigned long long>(k.ni_queue_overflows));
-    // Contended-topology runs only (empty otherwise): one line per physical
-    // link, so the serial-vs-parallel diff also proves link-state identity.
-    for (const auto& l : st.links()) {
-      std::printf("  link%d owner=%d kind=%d grants=%llu busy=%llu "
-                  "wait=%llu bytes=%llu\n",
-                  l.id, l.owner, static_cast<int>(l.kind),
-                  static_cast<unsigned long long>(l.grants),
-                  static_cast<unsigned long long>(l.busy),
-                  static_cast<unsigned long long>(l.wait),
-                  static_cast<unsigned long long>(l.bytes));
-    }
-  }
-
-  // Violation counts stay off stdout (the dump must be byte-identical with
-  // the checker compiled out) but still fail the process.
-  std::uint64_t violations = 0;
-  for (const auto& r : runs) violations += r.result.check_violations;
-  if (violations > 0) {
+  // Violation counts stay off stdout (the dump must be byte-identical to an
+  // unchecked run) but still fail the process.
+  if (dump.violations > 0) {
     std::fprintf(stderr, "sweep_dump: %llu consistency violation(s)\n",
-                 static_cast<unsigned long long>(violations));
+                 static_cast<unsigned long long>(dump.violations));
     return 1;
   }
   return 0;

@@ -1,20 +1,15 @@
 // Tracing-overhead measurement: how much the trace subsystem costs the
-// simulator hot path, in the three build/runtime configurations that matter
-// for ISSUE acceptance:
+// simulator hot path at runtime, in two arms:
 //
-//   compiled_in_disabled  tracer compiled in (default build), --trace off
-//   enabled               tracer compiled in, recording every category
-//   compiled_out          built with -DSVMSIM_TRACE=OFF (no tracer code)
+//   compiled_in_disabled  --trace off: every instrumentation site pays one
+//                         null check on the Simulator's tracer pointer
+//   enabled               recording every category
 //
-// One binary can only measure the configurations its own build supports: the
-// default build writes the first two subsections, an -DSVMSIM_TRACE=OFF build
-// writes "compiled_out". Each run preserves the other build's subsections in
-// the shared BENCH_sweep.json (see tools/trace_overhead.sh, which runs both
-// builds back to back), and whichever run sees both sides recomputes the
-// headline percentages:
+// The two arms interleave rep by rep in one process, so external load
+// perturbs both alike, and each arm's rate is its fastest rep. The section
+// "trace_overhead" of the shared BENCH_sweep.json is replaced with this
+// run's numbers plus the headline
 //
-//   disabled_vs_out_pct   cost of compiling the tracer in but leaving it off
-//                         (the acceptance bound: must stay <= 2%)
 //   enabled_vs_disabled_pct   cost of actually recording
 //
 //   ./trace_overhead [--app=fft] [--scale=tiny] [--reps=5]
@@ -28,7 +23,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -106,17 +100,6 @@ std::string arm_json(const Arm& a, int reps) {
   return os.str();
 }
 
-/// events_per_sec out of a subsection written by arm_json (strtod after the
-/// key's colon; exact for our own flat output).
-std::optional<double> eps_of(const std::optional<std::string>& sub) {
-  if (!sub) return std::nullopt;
-  const std::size_t k = sub->find("\"events_per_sec\"");
-  if (k == std::string::npos) return std::nullopt;
-  const std::size_t colon = sub->find(':', k);
-  if (colon == std::string::npos) return std::nullopt;
-  return std::strtod(sub->c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,44 +113,15 @@ int main(int argc, char** argv) {
   if (scale_name == "small") scale = apps::Scale::kSmall;
   if (scale_name == "large") scale = apps::Scale::kLarge;
 
-  // Subsections from a previous run of the *other* build (or this one; a
-  // re-run simply refreshes its own side).
-  std::optional<std::string> sub_out, sub_disabled, sub_enabled;
-  std::string text;
-  {
-    std::ifstream in(out_path);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      text = ss.str();
-      if (auto sec = harness::json_object_section(text, "trace_overhead")) {
-        sub_out = harness::json_object_section(*sec, "compiled_out");
-        sub_disabled =
-            harness::json_object_section(*sec, "compiled_in_disabled");
-        sub_enabled = harness::json_object_section(*sec, "enabled");
-      }
-    }
-  }
-
-#ifdef SVMSIM_TRACE_DISABLED
-  std::printf("== trace_overhead (tracer compiled OUT): %s/%s x%d ==\n",
-              app_name.c_str(), scale_name.c_str(), reps);
-  Arm out_arm;
-  for (int i = 0; i < reps; ++i) run_rep(out_arm, app_name, scale, false, "");
-  if (eps_of(sub_out).value_or(0) < out_arm.events_per_sec()) {
-    sub_out = arm_json(out_arm, reps);
-  }
-#else
-  std::printf("== trace_overhead (tracer compiled in): %s/%s x%d ==\n",
-              app_name.c_str(), scale_name.c_str(), reps);
+  std::printf("== trace_overhead: %s/%s x%d ==\n", app_name.c_str(),
+              scale_name.c_str(), reps);
   const std::string tmp_trace = out_path + ".overhead-trace.bin";
-  // Interleave the two arms rep-by-rep so external load perturbs both
-  // equally; the recorded rate is each arm's best rep.
   Arm disabled_arm, enabled_arm;
   for (int i = 0; i < reps; ++i) {
     run_rep(disabled_arm, app_name, scale, false, "");
     run_rep(enabled_arm, app_name, scale, true, tmp_trace);
   }
+  std::remove(tmp_trace.c_str());
   if (disabled_arm.sim_time != enabled_arm.sim_time) {
     std::fprintf(stderr,
                  "trace_overhead: --trace changed simulated time "
@@ -176,56 +130,32 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(enabled_arm.sim_time));
     return 1;
   }
-  std::remove(tmp_trace.c_str());
-  // Keep the best measurement across invocations (tools/trace_overhead.sh
-  // alternates the two builds several times): on a shared machine a single
-  // invocation can land entirely inside a throttled window, and only the
-  // max over invocations of the per-rep peak is comparable across
-  // binaries. Delete the section from the JSON to reset.
-  if (eps_of(sub_disabled).value_or(0) < disabled_arm.events_per_sec()) {
-    sub_disabled = arm_json(disabled_arm, reps);
-  }
-  if (eps_of(sub_enabled).value_or(0) < enabled_arm.events_per_sec()) {
-    sub_enabled = arm_json(enabled_arm, reps);
-  }
-#endif
 
-  // Headline percentages, recomputed from whatever subsections exist now.
-  const auto eps_out = eps_of(sub_out);
-  const auto eps_dis = eps_of(sub_disabled);
-  const auto eps_en = eps_of(sub_enabled);
+  const double eps_dis = disabled_arm.events_per_sec();
+  const double eps_en = enabled_arm.events_per_sec();
+  const double pct = eps_dis > 0 ? 100.0 * (eps_dis - eps_en) / eps_dis : 0;
+  harness::Table t({"configuration", "events/sec", "overhead"});
+  t.add_row({"compiled_in_disabled", harness::fmt(eps_dis, 0), "-"});
+  t.add_row({"enabled", harness::fmt(eps_en, 0), harness::fmt(pct, 2) + "%"});
+  t.print();
   std::ostringstream section;
   section << "\"trace_overhead\": {\n    \"app\": \"" << app_name
-          << "\",\n    \"scale\": \"" << scale_name << "\"";
-  harness::Table t({"configuration", "events/sec", "overhead"});
-  auto row = [&](const char* name, const std::optional<double>& eps,
-                 const std::optional<double>& base) {
-    if (!eps) return;
-    std::string over = "-";
-    if (base && *base > 0) over = harness::fmt(100.0 * (*base - *eps) / *base, 2) + "%";
-    t.add_row({name, harness::fmt(*eps, 0), over});
-  };
-  row("compiled_out", eps_out, std::nullopt);
-  row("compiled_in_disabled", eps_dis, eps_out);
-  row("enabled", eps_en, eps_dis);
-  if (sub_out) section << ",\n    \"compiled_out\": " << *sub_out;
-  if (sub_disabled) {
-    section << ",\n    \"compiled_in_disabled\": " << *sub_disabled;
-  }
-  if (sub_enabled) section << ",\n    \"enabled\": " << *sub_enabled;
-  if (eps_out && eps_dis && *eps_out > 0) {
-    section << ",\n    \"disabled_vs_out_pct\": "
-            << 100.0 * (*eps_out - *eps_dis) / *eps_out;
-  }
-  if (eps_dis && eps_en && *eps_dis > 0) {
-    section << ",\n    \"enabled_vs_disabled_pct\": "
-            << 100.0 * (*eps_dis - *eps_en) / *eps_dis;
-  }
-  section << "\n  }";
-  t.print();
+          << "\",\n    \"scale\": \"" << scale_name
+          << "\",\n    \"compiled_in_disabled\": "
+          << arm_json(disabled_arm, reps)
+          << ",\n    \"enabled\": " << arm_json(enabled_arm, reps)
+          << ",\n    \"enabled_vs_disabled_pct\": " << pct << "\n  }";
 
   // Merge into the shared BENCH JSON like the other tools do.
-  text = harness::strip_json_section(text, "trace_overhead");
+  std::string text;
+  {
+    std::ifstream in(out_path);
+    if (in) {
+      std::stringstream ss;
+      ss << in.rdbuf();
+      text = harness::strip_json_section(ss.str(), "trace_overhead");
+    }
+  }
   const std::size_t close = text.find_last_of('}');
   if (close == std::string::npos) {
     text = "{\n  \"bench\": \"sweep\",\n  \"schema\": 2,\n  \"build\": \"" +

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/factories.hpp"
@@ -102,6 +104,13 @@ class FftApp final : public Application {
   [[nodiscard]] std::string name() const override { return "fft"; }
 
   void setup(Machine& mach) override {
+    // Each processor owns m/P whole rows of the m x m matrix.
+    const auto P = static_cast<std::size_t>(mach.total_procs());
+    if (P > m_ || m_ % P != 0) {
+      throw std::invalid_argument(
+          "fft: m=" + std::to_string(m_) + " rows cannot be split evenly "
+          "across P=" + std::to_string(P) + " processors");
+    }
     const std::size_t n = m_ * m_;
     a_ = SharedArray<Cplx>::alloc(mach, n, Distribution::block());
     b_ = SharedArray<Cplx>::alloc(mach, n, Distribution::block());

@@ -23,19 +23,15 @@ Machine::Machine(const SimConfig& cfg)
     throw std::invalid_argument(
         "total_procs must be a multiple of procs_per_node");
   }
-#ifndef SVMSIM_TRACE_DISABLED
   if (cfg_.trace.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(
         cfg_.trace, cfg_.comm.total_procs, cfg_.comm.node_count());
     sim_.set_tracer(tracer_.get());
   }
-#endif
-#ifndef SVMSIM_CHECK_DISABLED
   if (cfg_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(cfg_.check, space_);
     sim_.set_checker(checker_.get());
   }
-#endif
 
   const int nodes = cfg_.comm.node_count();
   if (cfg_.topology.kind != topo::Kind::kLegacy) {
@@ -95,9 +91,7 @@ void Machine::finalize_stats() {
 void Machine::debug_write(svm::GlobalAddr a, const void* src,
                           std::uint64_t bytes) {
   space_.debug_write(a, src, bytes);
-#ifndef SVMSIM_CHECK_DISABLED
   if (checker_) checker_->on_debug_write(a, src, bytes);
-#endif
 }
 
 Machine::~Machine() {

@@ -170,7 +170,7 @@ struct SimConfig {
   /// Interconnect topology (src/topo/, --topology). The default kLegacy is
   /// the paper's contention-free crossbar on the original code path;
   /// kCrossbar simulates the identical machine through the topology
-  /// backend (byte-identical results — tools/topology_equivalence.sh);
+  /// backend (byte-identical results — tests/test_inertness.cpp);
   /// fat tree and torus change *what* is simulated: routes are multi-hop
   /// and links contend, so times and Stats legitimately differ.
   topo::Spec topology;

@@ -275,12 +275,15 @@ void SvmAgent::dump_lock_state() const {
   for (std::size_t i = 0; i < lock_proxies_.size(); ++i) {
     const LockProxy& lp = lock_proxies_[i];
     if (!lp.init) continue;
-    if (!lp.token && !lp.held && !lp.remote_pending && !lp.recall_pending &&
-        lp.waiters.empty()) {
-      continue;
-    }
     const int lock = static_cast<int>(i);
     const LockHomeState& s = shared_->locks.state(lock);
+    // A lock nobody holds, requests or waits for — on this node's proxy or
+    // at its home — cannot be part of a deadlock (an idle token holder is
+    // the common case), so only the others are printed.
+    if (!lp.held && !lp.remote_pending && !lp.recall_pending &&
+        lp.waiters.empty() && !s.recall_sent && s.waiters.empty()) {
+      continue;
+    }
     std::fprintf(stderr,
                  "  node %d lock %d: token=%d held=%d remote_pending=%d "
                  "recall_pending=%d local_waiters=%zu | home: owner=%d "

@@ -4,7 +4,7 @@
 // contended() == false, Network::transmit() takes the very same legacy code
 // path (same latency formula, same wire key, same delivery closure), so a
 // --topology=crossbar run is byte-identical to a run with no topology at
-// all — tools/topology_equivalence.sh diffs the two. No links are
+// all — tests/test_inertness.cpp diffs the two. No links are
 // allocated: an n-port crossbar has no shared wires to contend on, and the
 // n^2 virtual circuits would only burn memory at 256+ nodes.
 #pragma once

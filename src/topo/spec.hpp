@@ -21,7 +21,7 @@ enum class Kind : std::uint8_t {
 
 /// Which interconnect a run simulates. kLegacy (the default) and kCrossbar
 /// describe the same contention-free machine — the crossbar backend is
-/// byte-identical to the legacy path (tools/topology_equivalence.sh) — while
+/// byte-identical to the legacy path (tests/test_inertness.cpp) — while
 /// fat tree and torus add link-level contention (docs/topology.md).
 struct Spec {
   Kind kind = Kind::kLegacy;

@@ -217,11 +217,6 @@ std::string build_provenance() {
 #else
   s += "unknown";
 #endif
-#ifdef SVMSIM_SCHEDULER_HEAP
-  s += " scheduler=heap";
-#else
-  s += " scheduler=tiered";
-#endif
 #ifdef SVMSIM_SANITIZE_FLAGS
   s += " sanitize=";
   s += (SVMSIM_SANITIZE_FLAGS[0] != '\0') ? SVMSIM_SANITIZE_FLAGS : "off";
@@ -229,11 +224,6 @@ std::string build_provenance() {
   s += " sanitize=on";
 #else
   s += " sanitize=off";
-#endif
-#ifdef SVMSIM_TRACE_DISABLED
-  s += " trace=compiled-out";
-#else
-  s += " trace=compiled-in";
 #endif
   return s;
 }

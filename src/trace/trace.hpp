@@ -7,10 +7,9 @@
 //    ObjectPool discipline), so steady-state tracing allocates O(chunks)
 //    and tracing-off runs allocate nothing: a Machine only constructs a
 //    Tracer when SimConfig::trace.enabled is set.
-//  - Compile-time gate: configure with -DSVMSIM_TRACE=OFF to define
-//    SVMSIM_TRACE_DISABLED, turning every SVMSIM_TRACE_EVENT into ((void)0).
-//  - Runtime gate: the emission macro null-checks the Simulator's tracer
-//    pointer and the per-category mask bit before evaluating arguments.
+//  - Runtime gate (the only one; the tracer is always compiled in): the
+//    emission macro null-checks the Simulator's tracer pointer and the
+//    per-category mask bit before evaluating arguments.
 //  - Records never feed back into the simulation: a traced run is
 //    byte-identical to an untraced one.
 //
@@ -125,13 +124,13 @@ void write_file(const TraceFile& f, const std::string& path);
 /// missing/corrupt file or a format-version mismatch.
 [[nodiscard]] TraceFile read_file(const std::string& path);
 
-/// One line describing this build: git revision (when configured in),
-/// scheduler backend, sanitize/pool flags, trace compile gate.
+/// One line describing this build: git revision (when configured in) and
+/// sanitize/pool flags.
 [[nodiscard]] std::string build_provenance();
 
 /// The per-run recorder. Constructed by Machine when the run's
-/// SimConfig::trace.enabled is set (and tracing is compiled in); reached by
-/// every layer through engine::Simulator::tracer().
+/// SimConfig::trace.enabled is set; reached by every layer through
+/// engine::Simulator::tracer().
 class Tracer {
  public:
   Tracer(const Config& cfg, int procs, int nodes);
@@ -189,10 +188,9 @@ class Tracer {
 
 }  // namespace svmsim::trace
 
-// Emission macro: compiled out entirely under -DSVMSIM_TRACE=OFF; otherwise
-// a null check + mask bit test before any argument is evaluated. `sim` is
-// an engine::Simulator&; the record is stamped with sim.now().
-#ifndef SVMSIM_TRACE_DISABLED
+// Emission macro: a null check + mask bit test before any argument is
+// evaluated. `sim` is an engine::Simulator&; the record is stamped with
+// sim.now().
 #define SVMSIM_TRACE_EVENT(sim, cat, ev, proc, node, a0, a1)                 \
   do {                                                                       \
     if (::svmsim::trace::Tracer* svmsim_tr_ = (sim).tracer();                \
@@ -202,10 +200,3 @@ class Tracer {
                        static_cast<std::uint64_t>(a1));                      \
     }                                                                        \
   } while (0)
-#else
-// Arguments vanish into an unevaluated operand: no code is generated, but
-// the variables still count as used (no -Wunused warnings in OFF builds).
-#define SVMSIM_TRACE_EVENT(sim, cat, ev, proc, node, a0, a1)                  \
-  ((void)sizeof(((void)(sim), (void)(cat), (void)(ev), (void)(proc),          \
-                 (void)(node), (void)(a0), (void)(a1), 0)))
-#endif

@@ -3,7 +3,10 @@
 // shapes and page sizes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "apps/registry.hpp"
 #include "common.hpp"
@@ -154,6 +157,24 @@ TEST(AppBehaviour, TaskStealingAppsUseLocks) {
                   r.stats.counters().remote_lock_acquires,
               16u)
         << name;
+  }
+}
+
+TEST(AppBehaviour, FftRejectsProcessorCountsThatDoNotSplitItsRows) {
+  // Tiny fft is a 16 x 16 matrix split by whole rows: 32 processors would
+  // leave every processor zero rows, 12 would leave rows unassigned.
+  for (auto [total, ppn] : {std::pair{32, 4}, std::pair{12, 4}}) {
+    auto app = apps::make_app("fft", apps::Scale::kTiny);
+    try {
+      (void)svmsim::run(*app, config_with(total, ppn));
+      ADD_FAILURE() << "fft ran on " << total << " processors";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fft"), std::string::npos) << what;
+      EXPECT_NE(what.find("m=16"), std::string::npos) << what;
+      EXPECT_NE(what.find("P=" + std::to_string(total)), std::string::npos)
+          << what;
+    }
   }
 }
 

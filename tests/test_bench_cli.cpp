@@ -71,8 +71,7 @@ TEST(BenchCliDeathTest, FailingSweepPointNamesItselfAndExitsOne) {
 }
 
 // ---- --topology (src/topo/): malformed or unfitting specs must exit with
-// kExitBadTopology, distinct from 2/4, because the equivalence scripts
-// branch on it. ----
+// kExitBadTopology, distinct from 2/4, so scripts can branch on it. ----
 
 TEST(BenchCliDeathTest, ZeroTorusExtentExitsWithBadTopologyCode) {
   EXPECT_EXIT(parse({"--topology=torus:0x4"}),

@@ -371,7 +371,6 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(info.param.proto);
     });
 
-#ifndef SVMSIM_TRACE_DISABLED
 TEST(MutationSmoke, ViolationDumpsReplayableTrace) {
   ::setenv("SVMSIM_CHECK_MUTATION", "stale_read", 1);
   const std::string path =
@@ -390,7 +389,6 @@ TEST(MutationSmoke, ViolationDumpsReplayableTrace) {
   std::fclose(f);
   std::remove(path.c_str());
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Lock-id cap (Machine::kMaxLocks) regression tests

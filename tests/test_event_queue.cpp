@@ -139,62 +139,8 @@ TEST(EventQueue, SameTickInsertionOrderDuringInFlightStep) {
   EXPECT_EQ(q.events_fired(), 8u);
 }
 
-// --------------------------------------------------------------- wire band
-// The wire band contract (docs/engine.md): at equal time, wire events fire
-// before every (time, seq) event, and order among themselves by key — not by
-// insertion order. Both backends must agree.
-
-template <typename Scheduler>
-void expect_wire_band_order() {
-  Scheduler q;
-  std::vector<std::string> order;
-
-  q.schedule_at(10, [&order] { order.push_back("seq-a"); });
-  // Wire events inserted in descending key order: must fire ascending.
-  q.schedule_wire(10, 30, [&order] { order.push_back("wire-30"); });
-  q.schedule_wire(10, 20, [&order] { order.push_back("wire-20"); });
-  q.schedule_wire(10, 25, [&order] { order.push_back("wire-25"); });
-  q.schedule_at(10, [&order] { order.push_back("seq-b"); });
-  q.schedule_wire(5, 99, [&order] { order.push_back("wire-early"); });
-
-  q.run_until_idle();
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"wire-early", "wire-20", "wire-25",
-                                      "wire-30", "seq-a", "seq-b"}));
-  EXPECT_EQ(q.events_fired(), 6u);
-  EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(WireBand, TieredSchedulerFiresWireBeforeSeqAndByKey) {
-  expect_wire_band_order<detail::TieredScheduler>();
-}
-
-TEST(WireBand, HeapSchedulerFiresWireBeforeSeqAndByKey) {
-  expect_wire_band_order<detail::HeapScheduler>();
-}
-
-template <typename Scheduler>
-void expect_wire_next_time_and_deadline() {
-  Scheduler q;
-  int fired = 0;
-  q.schedule_wire(7, 1, [&fired] { ++fired; });
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.next_time(), 7u);
-  // A deadline before the wire event leaves it pending.
-  EXPECT_FALSE(q.run_until(6));
-  EXPECT_EQ(fired, 0);
-  EXPECT_TRUE(q.run_until(7));
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(WireBand, TieredSchedulerNextTimeSeesWire) {
-  expect_wire_next_time_and_deadline<detail::TieredScheduler>();
-}
-
-TEST(WireBand, HeapSchedulerNextTimeSeesWire) {
-  expect_wire_next_time_and_deadline<detail::HeapScheduler>();
-}
+// The wire-band ordering cases run on both this queue and the reference
+// model in test_scheduler_differential.cpp.
 
 TEST(WireBand, ClearDropsWireEvents) {
   EventQueue q;

@@ -1,6 +1,10 @@
 // Machine/Processor/Stats/Params level tests.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
+#include <string>
+
 #include "apps/registry.hpp"
 #include "common.hpp"
 
@@ -119,10 +123,33 @@ TEST(Runner, ThrowsOnDeadlock) {
       "deadlock", nullptr,
       [&](Machine& m, ProcId pid) -> engine::Task<void> {
         Shm shm(m, pid);
-        if (pid == 0) co_await shm.barrier();  // pid 1 never arrives...
+        if (pid == 0) {
+          // Leaves lock 2 idle: its token parked, nobody holding or waiting.
+          co_await shm.lock(2);
+          co_await shm.unlock(2);
+          co_await shm.barrier();  // pid 1 never arrives...
+        }
         if (pid == 1) co_await shm.lock(1), co_await shm.lock(1);  // self-deadlock
       });
+  ::testing::internal::CaptureStderr();
   EXPECT_THROW(svmsim::run(w, cfg), std::runtime_error);
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+
+  // The deadlock dump names the stuck lock but no quiescent one: a lock
+  // with nothing held, pending or queued on the proxy or at the home.
+  const std::regex quiescent(
+      "lock \\d+: token=\\d held=0 remote_pending=0 recall_pending=0 "
+      "local_waiters=0 \\| home: owner=-?\\d+ recall_sent=0 queue=0");
+  std::istringstream lines(dump);
+  int lock_lines = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" lock ") == std::string::npos) continue;
+    ++lock_lines;
+    EXPECT_FALSE(std::regex_search(line, quiescent)) << line;
+  }
+  EXPECT_GE(lock_lines, 1) << dump;
+  EXPECT_NE(dump.find("lock 1: token=1 held=1"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("lock 2:"), std::string::npos) << dump;
 }
 
 TEST(Runner, PerProcPerMCyclesNormalization) {

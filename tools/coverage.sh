@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Line-coverage gate for the SVM protocol layer: build with
-# -DSVMSIM_COVERAGE=ON, run the tier-1 suite (the checker seed matrix
-# included; the slow nested-build equivalence tests excluded — they measure
-# other build trees, not this one), then run gcovr over src/svm/ and fail
-# below the floor. Run by the CI coverage job; usable locally whenever gcovr
-# is installed.
+# -DSVMSIM_COVERAGE=ON, run the tier-1 suite (the checker seed matrix and
+# the in-process inertness test included; the script-driven sweeps
+# excluded), then run gcovr over src/svm/ and fail below the floor. Run by
+# the CI coverage job; usable locally whenever gcovr is installed.
 #
 #   tools/coverage.sh [build_dir] [floor_pct] [-- extra ctest args]
 set -euo pipefail
@@ -30,7 +29,7 @@ cmake --build "$build_dir" -j "$(nproc)"
 ulimit -s unlimited 2>/dev/null || ulimit -s 1048576 || true
 
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-  -E 'equivalence|traced_sweep|checked_sweep'
+  -E 'traced_sweep|checked_sweep'
 
 # Protocol-layer floor. --fail-under-line makes gcovr exit 2 below it; the
 # txt report goes to stdout so CI can publish it.
