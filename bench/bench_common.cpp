@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 namespace svmsim::bench {
@@ -117,48 +118,70 @@ SimConfig base_config() {
   return cfg;
 }
 
+void apply_options(std::vector<harness::SweepPoint>& points,
+                   const Options& opt, const std::string& batch) {
+  const std::string trace_prefix =
+      batch.empty() ? opt.trace.path : opt.trace.path + "." + batch;
+  std::map<std::string, std::size_t> per_app;  // points seen so far
+  for (harness::SweepPoint& p : points) {
+    const std::size_t i = per_app[p.app]++;
+    p.cfg.arch = opt.arch;
+    p.cfg.topology = opt.topology;
+    // The caller may have resized the cluster, so fit is checked per point.
+    checked_topology(opt.prog.c_str(), p.cfg.topology,
+                     p.cfg.comm.node_count());
+    p.cfg.trace = opt.trace;
+    if (opt.trace.enabled) {
+      // Each point is its own Machine/run: give each its own trace file.
+      p.cfg.trace.path = trace_prefix + "." + p.app + "-" + std::to_string(i);
+    }
+    p.cfg.check = opt.check;
+    if (opt.check.enabled && opt.trace.enabled) {
+      // A violating point dumps its trace for trace2chrome replay.
+      p.cfg.check.trace_path = p.cfg.trace.path + ".violation";
+    }
+  }
+}
+
 std::vector<harness::SweepPoint> suite_points(
     const std::vector<double>& values,
     const std::function<void(SimConfig&, double)>& apply, const Options& opt) {
   std::vector<harness::SweepPoint> points;
   points.reserve(opt.app_names.size() * values.size());
   for (const auto& app : opt.app_names) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      harness::SweepPoint p{app, base_config(), values[i]};
-      apply(p.cfg, values[i]);
-      p.cfg.arch = opt.arch;
-      p.cfg.topology = opt.topology;
-      // apply() may resize the cluster, so fit is checked per point.
-      checked_topology(opt.prog.c_str(), p.cfg.topology,
-                       p.cfg.comm.node_count());
-      p.cfg.trace = opt.trace;
-      if (opt.trace.enabled) {
-        // Each point is its own Machine/run: give each its own trace file.
-        p.cfg.trace.path =
-            opt.trace.path + "." + app + "-" + std::to_string(i);
-      }
-      p.cfg.check = opt.check;
-      if (opt.check.enabled && opt.trace.enabled) {
-        // A violating point dumps its trace for trace2chrome replay.
-        p.cfg.check.trace_path = p.cfg.trace.path + ".violation";
-      }
+    for (double v : values) {
+      harness::SweepPoint p{app, base_config(), v};
+      apply(p.cfg, v);
       points.push_back(std::move(p));
     }
   }
+  apply_options(points, opt);
   return points;
 }
 
 std::vector<harness::AppRun> run_points(
     harness::Sweep& sweep, const std::vector<harness::SweepPoint>& points,
     const Options& opt, const std::string& param_name) {
+  std::vector<harness::AppRun> runs;
   try {
-    return sweep.run_points(points, opt.pool());
+    runs = sweep.run_points(points, opt.pool());
   } catch (const harness::PointError& e) {
     std::fprintf(stderr, "\n%s: %s %s=%g: %s\n", opt.prog.c_str(),
                  e.app().c_str(), param_name.c_str(), e.value(),
                  e.reason().c_str());
     std::exit(1);
   }
+  // --check-consistency turns the bench into a pass/fail harness: any
+  // violation (already reported per run on stderr) fails the process.
+  std::uint64_t violations = 0;
+  for (const auto& r : runs) violations += r.result.check_violations;
+  if (violations > 0) {
+    std::fprintf(stderr, "\n%s: consistency checker found %llu violation(s)\n",
+                 opt.prog.c_str(),
+                 static_cast<unsigned long long>(violations));
+    std::exit(1);
+  }
+  return runs;
 }
 
 namespace {
@@ -288,18 +311,6 @@ std::vector<std::vector<harness::AppRun>> run_figure(
   // (app, value) point runs concurrently, not just the points of one app.
   std::vector<harness::AppRun> flat =
       run_points(sweep, suite_points(values, apply, opt), opt, param_name);
-
-  // --check-consistency turns the bench into a pass/fail harness: any
-  // violation (already reported per-run on stderr) fails the process.
-  std::uint64_t violations = 0;
-  for (const auto& r : flat) violations += r.result.check_violations;
-  if (violations > 0) {
-    std::fprintf(stderr,
-                 "%s: consistency checker found %llu violation(s)\n",
-                 figure.c_str(),
-                 static_cast<unsigned long long>(violations));
-    std::exit(1);
-  }
 
   std::vector<std::vector<harness::AppRun>> all;
   auto it = flat.begin();

@@ -119,14 +119,24 @@ struct Options {
 /// The paper's default machine at the achievable point.
 [[nodiscard]] SimConfig base_config();
 
+/// The per-point step of every bench: give each of `points` the shared
+/// options — opt.arch (--link-bytes-per-cycle, --wire-latency),
+/// opt.topology (its fit checked against the point's cluster size, which
+/// the caller may have changed), --check-consistency and --trace. The i-th
+/// point of each app in `points` traces to "<--trace>.<app>-<i>", or
+/// "<--trace>.<batch>.<app>-<i>" for a binary that runs several batches.
+void apply_options(std::vector<harness::SweepPoint>& points,
+                   const Options& opt, const std::string& batch = {});
+
 /// All points of an app-suite sweep (opt.app_names x values), in row-major
-/// order, ready for Sweep::run_points.
+/// order, with apply_options() applied, ready for run_points.
 [[nodiscard]] std::vector<harness::SweepPoint> suite_points(
     const std::vector<double>& values,
     const std::function<void(SimConfig&, double)>& apply, const Options& opt);
 
 /// Run `points` on opt.pool() (Sweep::run_points). A failing point prints
-/// "<binary>: <app> <param_name>=<value>: <reason>" to stderr and exits 1.
+/// "<binary>: <app> <param_name>=<value>: <reason>" to stderr and exits 1,
+/// and so does a batch in which the consistency checker found a violation.
 std::vector<harness::AppRun> run_points(
     harness::Sweep& sweep, const std::vector<harness::SweepPoint>& points,
     const Options& opt, const std::string& param_name);

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
       points.push_back({app, variants[v], static_cast<double>(v)});
     }
   }
+  bench::apply_options(points, opt);
   auto runs = bench::run_points(sweep, points, opt, "variant");
 
   harness::Table t({"application", "achievable", "free interrupts",

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, v});
       }
     }
+    bench::apply_options(points, opt, "uniproc");
     auto runs = bench::run_points(sweep, points, opt, "interrupt_cost");
 
     harness::Table t({"application", "intr=0", "intr=500", "intr=2500",
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, static_cast<double>(scheme)});
       }
     }
+    bench::apply_options(points, opt, "scheme");
     auto runs = bench::run_points(sweep, points, opt, "scheme");
 
     harness::Table t({"application", "fixed-proc0", "round-robin"});

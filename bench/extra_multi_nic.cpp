@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
         points.push_back({app, cfg, static_cast<double>(nics)});
       }
     }
+    bench::apply_options(points, opt, bw == 0.5 ? "ach" : "low");
     auto runs = bench::run_points(sweep, points, opt, "nics_per_node");
 
     harness::Table t({"application", "1 NI", "2 NIs", "4 NIs"});

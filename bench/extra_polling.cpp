@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
       points.push_back({app, cfg, tick});
     }
   }
+  bench::apply_options(points, opt);
   auto runs = bench::run_points(sweep, points, opt,
                                 "interrupt_cost|poll_interval");
   constexpr std::size_t kCols = 5;

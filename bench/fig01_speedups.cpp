@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   for (const auto& app : opt.app_names) {
     points.push_back({app, bench::base_config(), 0});
   }
+  bench::apply_options(points, opt);
   auto runs = bench::run_points(sweep, points, opt, "point");
 
   harness::Table t({"application", "achievable speedup", "ideal speedup"});

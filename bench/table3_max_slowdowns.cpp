@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
       }
     }
   }
+  bench::apply_options(points, opt);
   auto all = bench::run_points(sweep, points, opt, "endpoint");
 
   auto it = all.begin();

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     points.push_back({app, best_cfg, 0});
     points.push_back({app, bench::base_config(), 1});
   }
+  bench::apply_options(points, opt);
   auto runs = bench::run_points(sweep, points, opt, "achievable");
 
   harness::Table t({"application", "best", "achievable", "ideal"});

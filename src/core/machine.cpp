@@ -1,5 +1,6 @@
 #include "core/machine.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +19,9 @@ Machine::Machine(const SimConfig& cfg)
       network_(sim_, cfg_.arch) {
   if (const std::string err = cfg_.arch.validate(); !err.empty()) {
     throw std::invalid_argument("arch: " + err);
+  }
+  if (!std::has_single_bit(cfg.comm.page_bytes)) {
+    throw std::invalid_argument("page_bytes must be a power of two");
   }
   if (cfg.comm.total_procs % cfg.comm.procs_per_node != 0) {
     throw std::invalid_argument(

@@ -1,5 +1,6 @@
 #include "core/params.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace svmsim {
@@ -14,7 +15,37 @@ std::string to_string(Protocol p) {
   return "?";
 }
 
+namespace {
+
+/// What memsys::Cache cannot model about one cache level: its set index is
+/// a shift and a mask, and each way keeps two flag bits in the low bits of
+/// a line-aligned address.
+std::string validate_cache(const char* name, const CacheParams& c) {
+  const std::string n = name;
+  if (c.line_bytes < 8 || !std::has_single_bit(c.line_bytes)) {
+    return n + ".line_bytes must be a power of two >= 8";
+  }
+  if (c.associativity == 0) return n + ".associativity must be nonzero";
+  const std::uint64_t set_bytes =
+      std::uint64_t{c.line_bytes} * c.associativity;
+  if (c.size_bytes % set_bytes != 0 ||
+      !std::has_single_bit(c.size_bytes / set_bytes)) {
+    return n + " set count (size_bytes / (line_bytes * associativity)) "
+               "must be a power of two";
+  }
+  return {};
+}
+
+}  // namespace
+
 std::string ArchParams::validate() const {
+  if (std::string err = validate_cache("l1", l1); !err.empty()) return err;
+  if (std::string err = validate_cache("l2", l2); !err.empty()) return err;
+  // ProcMemory probes both levels with one line address.
+  if (l1.line_bytes != l2.line_bytes) {
+    return "l1.line_bytes and l2.line_bytes must be equal";
+  }
+  if (wb_entries == 0) return "wb_entries must be nonzero";
   // !(x > 0) instead of x <= 0: a NaN bandwidth must fail too.
   if (!(link_bytes_per_cycle > 0.0)) {
     return "link_bytes_per_cycle must be > 0";

@@ -98,12 +98,15 @@ struct ArchParams {
   Cycles smp_lock_cycles = 60;      // uncontended in-node lock acquire
   Cycles smp_barrier_cycles = 200;  // in-node hierarchical barrier stage
 
-  /// Sanity-check the divisors and latency floors the network layer relies
-  /// on: every link bandwidth must be > 0 (transmit() divides by it) and
-  /// every wire/hop latency nonzero (delivery events must land strictly in
-  /// the future, as the wire band requires). Returns an empty string when valid, a
-  /// diagnostic naming the offending field otherwise. The Machine
-  /// constructor enforces this; benches map it to bench::kExitBadArch.
+  /// Sanity-check what the memory and network layers rely on: each cache
+  /// has a power-of-two line of >= 8 bytes, a power-of-two set count and
+  /// nonzero associativity, and L1 and L2 share one line size (the tag
+  /// store's geometry); the write buffer has an entry; every link bandwidth
+  /// is > 0 (transmit() divides by it) and every wire/hop latency nonzero
+  /// (delivery events must land strictly in the future, as the wire band
+  /// requires). Returns an empty string when valid, a diagnostic naming the
+  /// offending field otherwise. The Machine constructor enforces this;
+  /// benches map it to bench::kExitBadArch.
   [[nodiscard]] std::string validate() const;
 };
 

@@ -103,6 +103,11 @@ SimConfig uniprocessor_config(const SimConfig& cfg) {
   // drop to the legacy network rather than demand the topology (a fixed
   // torus extent, say) fit a single node.
   uni.topology = topo::Spec{};
+  // On one node every page is home: HLRC makes no twins or diffs and AURC
+  // arms no automatic update, so the protocol cannot matter either. Pinning
+  // it lets one baseline serve both (tests/test_harness.cpp checks that the
+  // two agree).
+  uni.comm.protocol = Protocol::kHLRC;
   // Baseline runs are never traced or checked: the interesting run is the
   // parallel one, and a shared trace path must not be overwritten by the
   // baseline.

@@ -64,7 +64,9 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
 std::vector<std::uint8_t> encode(const Schedule& s, std::uint64_t fingerprint) {
   std::vector<std::uint8_t> out;
   out.reserve(8 + 4 + 8 + 4 + s.size() * 9 + 8);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
+  // Byte by byte, like put_u64: GCC 12 misreads a ranged insert of the
+  // char array into the vector as an overflow (-Wstringop-overflow).
+  for (char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
   put_u32(out, kScheduleVersion);
   put_u64(out, fingerprint);
   put_u32(out, static_cast<std::uint32_t>(s.size()));

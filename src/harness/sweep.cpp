@@ -27,22 +27,37 @@ PointError::PointError(const std::string& app, double value,
 
 Cycles Sweep::baseline(const std::string& app, const SimConfig& base) {
   const BaselineKey key = key_of(app, base);
+  std::promise<Cycles> computed;
+  std::shared_future<Cycles> pending;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = baselines_.find(key);
-    if (it != baselines_.end()) return it->second;
+    auto [it, fresh] = baselines_.try_emplace(key);
+    if (fresh) {
+      it->second = computed.get_future().share();
+    } else {
+      pending = it->second;
+    }
   }
-  // Simulate outside the lock so concurrent callers computing different
-  // baselines overlap. Two threads racing on the same key both compute the
-  // same deterministic value; emplace keeps the first.
-  auto w = apps::make_app(app, scale_);
-  const SimConfig uni = uniprocessor_config(base);
-  RunResult r = run(*w, uni);
-  if (!r.validated) {
-    throw std::runtime_error(app + ": uniprocessor run failed validation");
+  // Another caller owns this key: wait for its value (or its failure).
+  if (pending.valid()) return pending.get();
+  // Simulate outside the lock so callers computing different baselines
+  // overlap.
+  try {
+    auto w = apps::make_app(app, scale_);
+    const RunResult r = run(*w, uniprocessor_config(base));
+    if (!r.validated) {
+      throw std::runtime_error(app + ": uniprocessor run failed validation");
+    }
+    computed.set_value(r.time);
+    return r.time;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      baselines_.erase(key);
+    }
+    computed.set_exception(std::current_exception());
+    throw;
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  return baselines_.emplace(key, r.time).first->second;
 }
 
 AppRun Sweep::run_point(const std::string& app, const SimConfig& cfg,

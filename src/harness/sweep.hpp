@@ -5,7 +5,8 @@
 //
 // Thread-safety contract: baseline(), run_point() and run_points() may be
 // called from several threads at once (the baseline cache is internally
-// locked and simulations share no state). run_points() with a JobPool fans
+// locked, each baseline is simulated once however many callers want it, and
+// simulations share no state). run_points() with a JobPool fans
 // the points out across the pool's workers after pre-warming every distinct
 // baseline, and its results are bit-identical to the serial path: each point
 // owns its Machine/EventQueue and writes an insertion-ordered result slot.
@@ -14,6 +15,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -78,6 +80,9 @@ class Sweep {
   explicit Sweep(apps::Scale scale) : scale_(scale) {}
 
   /// Uniprocessor time for `app` under `base` (cached per app+page size).
+  /// Each key is simulated once: a concurrent caller waits for the thread
+  /// computing it. A failure is not cached, so every later caller recomputes
+  /// it and its point names itself in the error.
   Cycles baseline(const std::string& app, const SimConfig& base);
 
   /// Run one application at one configuration. Any failure is rethrown as
@@ -102,16 +107,17 @@ class Sweep {
 
  private:
   /// What the uniprocessor baseline actually depends on: communication
-  /// parameters are irrelevant on one processor, but page size and protocol
-  /// change local fault behavior.
+  /// parameters are irrelevant on one processor, and so is the protocol (on
+  /// one node every page is home: HLRC makes no twins or diffs and AURC arms
+  /// no automatic update, so uniprocessor_config() pins HLRC); page size
+  /// changes local fault behavior.
   struct BaselineKey {
     std::string app;
     std::uint32_t page_bytes;
-    Protocol protocol;
     auto operator<=>(const BaselineKey&) const = default;
   };
   static BaselineKey key_of(const std::string& app, const SimConfig& cfg) {
-    return BaselineKey{app, cfg.comm.page_bytes, cfg.comm.protocol};
+    return BaselineKey{app, cfg.comm.page_bytes};
   }
 
   /// Compute-and-cache every distinct baseline `points` will need, using
@@ -120,7 +126,8 @@ class Sweep {
 
   apps::Scale scale_;
   std::mutex mu_;  ///< guards baselines_
-  std::map<BaselineKey, Cycles> baselines_;
+  /// Computed or in-flight baselines; a failed one is erased.
+  std::map<BaselineKey, std::shared_future<Cycles>> baselines_;
 };
 
 /// Max slowdown between the best and the worst speedup in a sweep, as a

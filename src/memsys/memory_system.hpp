@@ -28,6 +28,10 @@ class ProcMemory {
   [[nodiscard]] std::uint32_t line_bytes() const noexcept {
     return l1_.line_bytes();
   }
+  /// log2(line_bytes()): L1 and L2 share one line size.
+  [[nodiscard]] unsigned line_shift() const noexcept {
+    return l1_.line_shift();
+  }
 
   /// A load of one cache line, fast path. Returns the hit latency, or
   /// nullopt if the line misses to memory (call `read_line_slow`).

@@ -10,16 +10,15 @@ void WriteBuffer::advance(Cycles now, std::vector<std::uint64_t>& retired) {
   // clock allows. Back-to-back retirements chain from the previous
   // completion time, not from `now`.
   bool chained = false;
-  while (!pending_.empty()) {
+  while (count_ > 0) {
     if (draining_) {
       if (drain_done_ > now) return;  // in-flight retirement not done yet
-      retired.push_back(pending_.front());
-      pending_.pop_front();
+      retire_front(retired);
       draining_ = false;
       chained = true;
       continue;
     }
-    if (pending_.size() < retire_at_) return;  // below drain threshold
+    if (count_ < retire_at_) return;  // below drain threshold
     draining_ = true;
     const Cycles start = chained ? drain_done_ : now;
     drain_done_ = start + retire_cost_;
@@ -30,34 +29,39 @@ void WriteBuffer::advance(Cycles now, std::vector<std::uint64_t>& retired) {
 Cycles WriteBuffer::push(std::uint64_t line_addr, Cycles now,
                          std::vector<std::uint64_t>& retired) {
   advance(now, retired);
-  if (std::find(pending_.begin(), pending_.end(), line_addr) !=
-      pending_.end()) {
+  if (contains(line_addr)) {
     ++coalesced_;
     return 0;
   }
   Cycles stall = 0;
-  if (pending_.size() >= entries_) {
+  if (count_ >= ring_.size()) {
     // Full: wait for the in-flight retirement (drain is guaranteed active
-    // because entries_ >= retire_at_).
+    // because entries >= retire_at).
     if (!draining_) {
       draining_ = true;
       drain_done_ = std::max(drain_done_, now) + retire_cost_;
     }
     stall = drain_done_ > now ? drain_done_ - now : 0;
-    retired.push_back(pending_.front());
-    pending_.pop_front();
+    retire_front(retired);
     draining_ = false;
     ++full_stalls_;
     advance(now + stall, retired);
   }
-  pending_.push_back(line_addr);
+  std::size_t tail = head_ + count_;
+  if (tail >= ring_.size()) tail -= ring_.size();
+  ring_[tail] = line_addr;
+  ++count_;
   advance(now + stall, retired);
   return stall;
 }
 
 bool WriteBuffer::contains(std::uint64_t line_addr) const {
-  return std::find(pending_.begin(), pending_.end(), line_addr) !=
-         pending_.end();
+  std::size_t i = head_;
+  for (std::uint32_t n = 0; n < count_; ++n) {
+    if (ring_[i] == line_addr) return true;
+    if (++i == ring_.size()) i = 0;
+  }
+  return false;
 }
 
 }  // namespace svmsim::memsys

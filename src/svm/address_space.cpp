@@ -1,21 +1,24 @@
 #include "svm/address_space.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace svmsim::svm {
 
 AddressSpace::AddressSpace(int nodes, std::uint32_t page_bytes)
-    : nodes_(nodes), page_bytes_(page_bytes) {
+    : nodes_(nodes),
+      page_bytes_(page_bytes),
+      page_shift_(static_cast<unsigned>(std::countr_zero(page_bytes))) {
   assert(nodes > 0);
-  assert(page_bytes >= 256 && (page_bytes & (page_bytes - 1)) == 0);
+  assert(std::has_single_bit(page_bytes));
   copies_.resize(static_cast<std::size_t>(nodes));
 }
 
 GlobalAddr AddressSpace::alloc(std::uint64_t bytes, Distribution d) {
   const std::uint64_t pages = (bytes + page_bytes_ - 1) / page_bytes_;
   const GlobalAddr base = next_;
-  const PageId first = base / page_bytes_;
+  const PageId first = page_of(base);
   next_ += pages * page_bytes_;
 
   for (std::uint64_t i = 0; i < pages; ++i) {

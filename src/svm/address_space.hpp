@@ -69,9 +69,9 @@ class AddressSpace {
     return page_bytes_;
   }
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
-  [[nodiscard]] PageId page_of(GlobalAddr a) const { return a / page_bytes_; }
+  [[nodiscard]] PageId page_of(GlobalAddr a) const { return a >> page_shift_; }
   [[nodiscard]] std::uint32_t offset_of(GlobalAddr a) const {
-    return static_cast<std::uint32_t>(a % page_bytes_);
+    return static_cast<std::uint32_t>(a & (page_bytes_ - 1));
   }
   [[nodiscard]] std::uint64_t page_count() const noexcept {
     return homes_.size();
@@ -113,7 +113,8 @@ class AddressSpace {
   PageCopy& make_home_copy(PageId p);
 
   int nodes_;
-  std::uint32_t page_bytes_;
+  std::uint32_t page_bytes_;  // a power of two
+  unsigned page_shift_;       // log2(page_bytes_)
   GlobalAddr next_ = 0;
   std::vector<NodeId> homes_;  // per page; -1 = first-touch pending
   // Twin pool is declared before copies_: PageCopy::twin refs must die first.

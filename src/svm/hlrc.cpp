@@ -83,10 +83,10 @@ bool time_hit_line(Processor& p, std::uint64_t line_addr) {
 
 /// Timing of a store: one write-buffer access per cache line touched.
 void time_store_lines(Processor& p, GlobalAddr addr, std::uint32_t len) {
-  const std::uint32_t lb = p.mem().line_bytes();
-  const std::uint64_t last_line = (addr + len - 1) / lb;
-  for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
-    const auto cost = p.mem().write_line(ln * lb, p.local_now());
+  const unsigned ls = p.mem().line_shift();
+  const std::uint64_t last_line = (addr + len - 1) >> ls;
+  for (std::uint64_t ln = addr >> ls; ln <= last_line; ++ln) {
+    const auto cost = p.mem().write_line(ln << ls, p.local_now());
     p.charge(TimeCat::kCompute, cost.issue);
     if (cost.wb_stall > 0) p.charge(TimeCat::kWriteBufStall, cost.wb_stall);
   }
@@ -513,7 +513,7 @@ Task<void> SvmAgent::read(Processor& p, GlobalAddr addr, void* dst,
                           std::uint64_t bytes) {
   auto* out = static_cast<std::byte*>(dst);
   const std::uint32_t pb = space_->page_bytes();
-  const std::uint32_t lb = p.mem().line_bytes();
+  const unsigned ls = p.mem().line_shift();
   while (bytes > 0) {
     const PageId page = space_->page_of(addr);
     const std::uint32_t off = space_->offset_of(addr);
@@ -526,12 +526,12 @@ Task<void> SvmAgent::read(Processor& p, GlobalAddr addr, void* dst,
     SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, addr,
                       c->data.data() + off, chunk);
     // Timing: one access per cache line touched.
-    const std::uint64_t last_line = (addr + chunk - 1) / lb;
-    for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
-      if (time_hit_line(p, ln * lb)) continue;
+    const std::uint64_t last_line = (addr + chunk - 1) >> ls;
+    for (std::uint64_t ln = addr >> ls; ln <= last_line; ++ln) {
+      if (time_hit_line(p, ln << ls)) continue;
       p.charge(TimeCat::kCompute, 1);
       co_await p.drain();
-      const Cycles stall = co_await p.mem().read_line_slow(ln * lb);
+      const Cycles stall = co_await p.mem().read_line_slow(ln << ls);
       p.note(TimeCat::kMemStall, stall);
     }
     addr += chunk;
@@ -554,23 +554,23 @@ Task<void> SvmAgent::try_read(Processor& p, GlobalAddr addr, void* dst,
   if (dst != nullptr) std::memcpy(dst, c.data.data() + off, bytes);
   SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, addr,
                     c.data.data() + off, bytes);
-  const std::uint32_t lb = p.mem().line_bytes();
-  const std::uint64_t last_line = (addr + bytes - 1) / lb;
-  for (std::uint64_t ln = addr / lb; ln <= last_line; ++ln) {
-    if (!time_hit_line(p, ln * lb)) return read_tail(p, ln, last_line);
+  const unsigned ls = p.mem().line_shift();
+  const std::uint64_t last_line = (addr + bytes - 1) >> ls;
+  for (std::uint64_t ln = addr >> ls; ln <= last_line; ++ln) {
+    if (!time_hit_line(p, ln << ls)) return read_tail(p, ln, last_line);
   }
   return {};
 }
 
 Task<void> SvmAgent::read_tail(Processor& p, std::uint64_t line,
                                std::uint64_t last_line) {
-  const std::uint32_t lb = p.mem().line_bytes();
+  const unsigned ls = p.mem().line_shift();
   for (std::uint64_t ln = line; ln <= last_line; ++ln) {
     // `line` itself was already probed (and missed) by the caller.
-    if (ln != line && time_hit_line(p, ln * lb)) continue;
+    if (ln != line && time_hit_line(p, ln << ls)) continue;
     p.charge(TimeCat::kCompute, 1);
     co_await p.drain();
-    const Cycles stall = co_await p.mem().read_line_slow(ln * lb);
+    const Cycles stall = co_await p.mem().read_line_slow(ln << ls);
     p.note(TimeCat::kMemStall, stall);
   }
 }

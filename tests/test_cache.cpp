@@ -181,8 +181,11 @@ TEST_P(CacheInvalidateDifferential, MatchesBruteForceShadow) {
   const CacheParams p = GetParam();
   constexpr std::uint64_t kPage = 4096;
   const std::uint64_t lb = p.line_bytes;
-  // Twice the capacity, so sets conflict and fills evict.
-  const std::uint64_t region_lines = 2 * p.size_bytes / lb;
+  // Twice the capacity, or `associativity` times it for wider sets, so
+  // sets still conflict and fills evict while invalidations keep emptying
+  // ways.
+  const std::uint64_t region_lines =
+      std::max<std::uint64_t>(2, p.associativity) * p.size_bytes / lb;
   std::mt19937_64 rng(0x5eed0000 + p.associativity);
   auto below = [&](std::uint64_t n) { return rng() % n; };
   std::uint64_t evictions = 0;
@@ -252,12 +255,18 @@ TEST_P(CacheInvalidateDifferential, MatchesBruteForceShadow) {
 }
 
 // The paper's L1 (16 KB direct-mapped, 64 B lines); its L2 shape (2-way,
-// 64 B lines) at 32 KB, small enough for the walk to fill every set; and
-// the small geometries above, where nearly every fill conflicts.
+// 64 B lines) at 32 KB, small enough for the walk to fill every set; the
+// small geometries above, where nearly every fill conflicts; and 4- and
+// 8-way sets, large and small, where a hit rotates and an invalidation
+// compacts a way from the middle of the recency order.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheInvalidateDifferential,
     ::testing::Values(CacheParams{16 * 1024, 1, 64, 1},
-                      CacheParams{32 * 1024, 2, 64, 8}, small_dm, small_2w));
+                      CacheParams{32 * 1024, 2, 64, 8}, small_dm, small_2w,
+                      CacheParams{32 * 1024, 4, 64, 8},
+                      CacheParams{32 * 1024, 8, 64, 8},
+                      CacheParams{1024, 4, 64, 1},
+                      CacheParams{2048, 8, 32, 1}));
 
 // Property-style sweep: for any config, filling N distinct lines that map to
 // distinct sets keeps all of them resident.

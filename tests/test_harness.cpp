@@ -1,13 +1,15 @@
-// Harness utilities: CLI parsing, table/CSV formatting and sweep failure
-// reporting.
+// Harness utilities: CLI parsing, table/CSV formatting, sweep failure
+// reporting and the uniprocessor baseline cache.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/runner.hpp"
 #include "harness/cli.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep.hpp"
@@ -170,6 +172,64 @@ TEST(Sweep, FailingPointNamesAppAndValue) {
       EXPECT_NE(what.find("procs_per_node"), std::string::npos) << what;
     }
   }
+}
+
+// One baseline serves both protocols because on one node the protocol
+// cannot change anything: every page is home, so HLRC makes no twins or
+// diffs and AURC arms no automatic update.
+TEST(Baseline, ProtocolDoesNotChangeAUniprocessorRun) {
+  SimConfig hlrc = uniprocessor_config(SimConfig{});
+  SimConfig aurc = hlrc;
+  aurc.comm.protocol = Protocol::kAURC;
+  for (const std::string& app : apps::suite()) {
+    SCOPED_TRACE(app);
+    auto w1 = apps::make_app(app, apps::Scale::kTiny);
+    auto w2 = apps::make_app(app, apps::Scale::kTiny);
+    const RunResult a = run(*w1, hlrc);
+    const RunResult b = run(*w2, aurc);
+    EXPECT_TRUE(a.validated);
+    EXPECT_TRUE(b.validated);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.stats, b.stats);
+  }
+  // Callers may pass either protocol; the baseline config pins one.
+  EXPECT_EQ(uniprocessor_config(aurc).comm.protocol, Protocol::kHLRC);
+}
+
+// Concurrent callers of one key, under either protocol, all get the value a
+// fresh simulation gives. A failing key is not cached: every caller, and a
+// later one, sees the failure.
+TEST(Baseline, ConcurrentCallersOfOneKeyAgree) {
+  SimConfig hlrc;
+  SimConfig aurc;
+  aurc.comm.protocol = Protocol::kAURC;
+  auto w = apps::make_app("lu", apps::Scale::kTiny);
+  const Cycles want = run(*w, uniprocessor_config(hlrc)).time;
+
+  Sweep sweep(apps::Scale::kTiny);
+  constexpr int kCallers = 4;
+  std::vector<Cycles> got(kCallers, 0);
+  std::vector<int> failures(kCallers, 0);
+  {
+    std::vector<std::jthread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+      callers.emplace_back([&, i] {
+        got[i] = sweep.baseline("lu", i % 2 == 0 ? hlrc : aurc);
+        try {
+          (void)sweep.baseline("no-such-app", hlrc);
+        } catch (const std::exception&) {
+          failures[i] = 1;
+        }
+      });
+    }
+  }
+  for (int i = 0; i < kCallers; ++i) {
+    EXPECT_EQ(got[i], want) << "caller " << i;
+    EXPECT_EQ(failures[i], 1) << "caller " << i;
+  }
+  EXPECT_EQ(sweep.baseline("lu", aurc), want);
+  EXPECT_THROW((void)sweep.baseline("no-such-app", aurc), std::exception);
 }
 
 }  // namespace

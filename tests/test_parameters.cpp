@@ -1,5 +1,6 @@
 // Sensitivity sanity tests: varying each of the paper's communication
-// parameters must move end performance in the documented direction.
+// parameters must move end performance in the documented direction. Also
+// the architecture geometries ArchParams::validate() rejects.
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
@@ -105,6 +106,68 @@ TEST(Sweep, IdealSpeedupIgnoresCommunication) {
   SimConfig cfg = achievable_config();
   auto point = sweep.run_point("ocean", cfg, 0);
   EXPECT_GT(point.ideal_speedup(), point.speedup());
+}
+
+// The cache tag store indexes sets with a shift and a mask and keeps two
+// flag bits below each line address, so validate() must reject every
+// geometry it cannot model, naming the field, in every build type.
+TEST(ArchValidate, RejectsCacheGeometriesTheTagStoreCannotModel) {
+  EXPECT_EQ(ArchParams{}.validate(), "");
+  struct Case {
+    const char* what;
+    void (*edit)(ArchParams&);
+    const char* names;
+  };
+  const Case cases[] = {
+      {"line not a power of two",
+       [](ArchParams& a) { a.l1.line_bytes = a.l2.line_bytes = 48; },
+       "l1.line_bytes"},
+      {"line under 8 bytes",
+       [](ArchParams& a) { a.l1.line_bytes = a.l2.line_bytes = 4; },
+       "l1.line_bytes"},
+      {"L1 set count not a power of two",
+       [](ArchParams& a) { a.l1.size_bytes = 24 * 1024; }, "l1 set count"},
+      {"L2 set count not a power of two",
+       [](ArchParams& a) { a.l2.associativity = 3; }, "l2 set count"},
+      {"L2 size not a whole number of sets",
+       [](ArchParams& a) { a.l2.size_bytes = 512 * 1024 + 64; },
+       "l2 set count"},
+      {"zero L1 associativity",
+       [](ArchParams& a) { a.l1.associativity = 0; }, "l1.associativity"},
+      {"zero L2 associativity",
+       [](ArchParams& a) { a.l2.associativity = 0; }, "l2.associativity"},
+      {"L1 and L2 lines differ",
+       [](ArchParams& a) {
+         a.l2.line_bytes = 128;
+         a.l2.size_bytes = 1024 * 1024;
+       },
+       "l1.line_bytes and l2.line_bytes"},
+      {"no write-buffer entry", [](ArchParams& a) { a.wb_entries = 0; },
+       "wb_entries"},
+  };
+  for (const Case& c : cases) {
+    ArchParams a;
+    c.edit(a);
+    const std::string err = a.validate();
+    EXPECT_NE(err.find(c.names), std::string::npos)
+        << c.what << ": got '" << err << "'";
+  }
+  // Other power-of-two geometries with equal lines are fine.
+  ArchParams wide;
+  wide.l1 = CacheParams{8 * 1024, 4, 32, 1};
+  wide.l2 = CacheParams{256 * 1024, 8, 32, 8};
+  EXPECT_EQ(wide.validate(), "");
+}
+
+// The Machine enforces validate(), and page sizes that are not a power of
+// two (pages are indexed with a shift too).
+TEST(ArchValidate, MachineRejectsBadGeometries) {
+  SimConfig bad_cache;
+  bad_cache.arch.l2.associativity = 3;
+  EXPECT_THROW(Machine{bad_cache}, std::invalid_argument);
+  SimConfig bad_page;
+  bad_page.comm.page_bytes = 3000;
+  EXPECT_THROW(Machine{bad_page}, std::invalid_argument);
 }
 
 }  // namespace

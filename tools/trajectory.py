@@ -7,8 +7,9 @@ Runs `python3 perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0`
 in the checkout DIR (default: this one) for each benchmark workload and
 appends one JSON object per invocation: the label, `git describe` of DIR,
 the host fingerprint (nproc, CPU model), the command, and per workload
-wall_s, sim_eps, completed_frac and sim_digest. Seed and duration are fixed
-so that every row is measured the same way.
+wall_s, sim_eps, peak_rss_mb, setup_s, completed_frac and sim_digest
+(the earliest rows carry no peak_rss_mb or setup_s). Seed and duration are
+fixed so that every row is measured the same way.
 
 The file is append-only: rows from different checkouts are comparable only
 when their host fingerprints match, so measure a before/after pair back to
@@ -65,6 +66,8 @@ def run_workload(repo, workload):
     return {
         "wall_s": metrics["wall_s"]["value"],
         "sim_eps": metrics["sim_eps"]["value"],
+        "peak_rss_mb": metrics["peak_rss_mb"]["value"],
+        "setup_s": metrics["setup_s"]["value"],
         "completed_frac": metrics["completed_frac"]["value"],
         "sim_digest": digest.group(1) if digest else None,
     }
